@@ -12,8 +12,9 @@ from .graded import (WeightVector, dilate, iter_weighted_exponents,
                      pseudo_norm, weighted_degree)
 from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
                    invert_perturbed_triangular, invert_weight_triangular)
-from .vfields import (Frame, PolyVectorField, bracket, expand, field_weight,
-                      function_order, model_field, pushforward, rescale)
+from .vfields import (DegenerateFrameError, Frame, PolyVectorField, bracket,
+                      expand, field_weight, function_order, model_field,
+                      pushforward, rescale)
 from .groups import (StructureConstants, catalog, catalog_names,
                      dynkin_product, group_frame, group_inverse,
                      group_product, left_invariant_fields,
@@ -37,8 +38,8 @@ __all__ = [
     "ow_scaling_test", "ow_violations", "pseudo_norm", "weighted_degree",
     "PolyMap", "RationalPoly", "TriangularMap", "invert_triangular",
     "invert_perturbed_triangular", "invert_weight_triangular",
-    "Frame", "PolyVectorField", "bracket", "expand", "field_weight",
-    "function_order", "model_field", "pushforward", "rescale",
+    "DegenerateFrameError", "Frame", "PolyVectorField", "bracket", "expand",
+    "field_weight", "function_order", "model_field", "pushforward", "rescale",
     "StructureConstants", "catalog", "catalog_names", "dynkin_product",
     "group_frame", "group_inverse", "group_product",
     "left_invariant_fields", "structure_constants_at", "validate_algebra",

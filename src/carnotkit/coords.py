@@ -9,6 +9,7 @@ integrator backs the numeric variants.
 """
 
 from fractions import Fraction
+from functools import cached_property
 import random
 
 import numpy as np
@@ -16,9 +17,8 @@ import numpy as np
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
-from .poly import (PolyMap, RationalPoly, TriangularMap, homogeneous_part,
-                   invert_perturbed_triangular, invert_triangular,
-                   invert_weight_triangular, term_sort_key)
+from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
+                   invert_weight_triangular, term_sort_key, weight_shape)
 from .vfields import Frame, PolyVectorField, expand, model_field, pushforward
 
 
@@ -72,20 +72,11 @@ class CoordinateChange:
         wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
         return cls(linalg.identity_matrix(wv.n), (0,) * wv.n, wv)
 
-    @classmethod
-    def affine(cls, matrix, offset, weights):
-        return cls(matrix, offset, weights)
-
-    @property
+    @cached_property
     def is_exactly_invertible(self):
         """True when every correction only involves lower-weight variables."""
-        ws = self.weights.weights
-        for k, comp in enumerate(self.poly.components):
-            tail = comp - RationalPoly.variable(self.weights.n, k)
-            for exp in tail.terms:
-                if any(e and ws[j] >= ws[k] for j, e in enumerate(exp)):
-                    return False
-        return True
+        _, ranks = weight_shape(self.poly.components, self.weights.weights)
+        return all(rank < 2 for rank in ranks)
 
     def affine_polymap(self):
         n = self.weights.n
@@ -124,13 +115,7 @@ class CoordinateChange:
     def inverse_polymap(self, max_weight=None):
         """Polynomial inverse; exact when possible, else truncated at
         max_weight (which must then be supplied explicitly)."""
-        if self.is_exactly_invertible:
-            q = invert_weight_triangular(self.poly, self.weights.weights)
-        elif max_weight is None:
-            raise ValueError("change has no exact inverse; pass max_weight "
-                             "for a truncated one")
-        else:
-            q = invert_perturbed_triangular(self.poly, self.weights, max_weight)
+        q = invert_weight_triangular(self.poly, self.weights.weights, max_weight)
         return self.affine_inverse_polymap().compose(q)
 
     def inverse_apply(self, point):
@@ -159,10 +144,9 @@ def linearize(frame):
     """Affine adaptation T(x) = (B(a)^t)^{-1} (x - a) at the base point.
 
     Returns (change, pushed frame); the pushed fields satisfy X_j(0) = d_j.
+    Raises DegenerateFrameError when B(a) is singular.
     """
-    b = frame.coefficient_matrix()
-    m = linalg.mat_inv(linalg.transpose(b))
-    change = CoordinateChange(m, frame.base_point, frame.weights)
+    change = CoordinateChange(frame.adapted_matrix(), frame.base_point, frame.weights)
     return change, transform_frame(frame, change)
 
 
@@ -171,12 +155,9 @@ def transform_frame(frame, change, max_weight=None):
     truncated at max_weight otherwise."""
     forward = change.forward_polymap()
     inverse = change.inverse_polymap(max_weight)
-    if max_weight is not None and not change.is_exactly_invertible:
-        fields = [pushforward(x, forward, inverse,
-                              frame.weights.weights, max_weight)
-                  for x in frame.fields]
-    else:
-        fields = [pushforward(x, forward, inverse) for x in frame.fields]
+    bound = None if change.is_exactly_invertible else max_weight
+    fields = [pushforward(x, forward, inverse, frame.weights.weights, bound)
+              for x in frame.fields]
     new_base = change.apply(frame.base_point)
     return Frame(fields, frame.weights, new_base, check=False)
 
@@ -300,9 +281,6 @@ class FlowResult:
         xi_polys = [RationalPoly.variable(n, j) for j in range(n)]
         t_poly = RationalPoly.const(n, t)
         return PolyMap(self.substituted(y_polys, xi_polys, t_poly))
-
-    def time_derivative(self):
-        return [c.partial(2 * self.n) for c in self.components]
 
 
 def exact_flow(fields, weights):
@@ -495,8 +473,7 @@ class ChartResult:
 def _package_chart(frame, chart_map):
     """Present an exact chart C (with C(a) = 0, dC(a) = (B^t)^{-1}) as a
     CoordinateChange by splitting off the affine adaptation."""
-    b = frame.coefficient_matrix()
-    m = linalg.mat_inv(linalg.transpose(b))
+    m = frame.adapted_matrix()
     affine_inv = CoordinateChange(m, frame.base_point, frame.weights).affine_inverse_polymap()
     tail = chart_map.compose(affine_inv)
     return CoordinateChange(m, frame.base_point, frame.weights, tail)

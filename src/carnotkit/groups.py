@@ -11,7 +11,6 @@ from functools import lru_cache
 import math
 import re
 
-from . import linalg
 from .graded import WeightVector, as_weights, weighted_degree
 from .poly import PolyMap, RationalPoly
 from .vfields import Frame, PolyVectorField, bracket
@@ -127,32 +126,22 @@ def validate_algebra(constants):
     return AlgebraReport(not failures, failures)
 
 
-_VALIDATED = {}
+# Per-algebra memos keep the most recently used algebras: a caller works on
+# a handful at a time, and a stream of fresh algebras must not grow the
+# process without bound.
+_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _validation(constants):
+    return validate_algebra(constants)
 
 
 def _require_valid(constants):
-    key = constants.key()
-    report = _VALIDATED.get(key)
-    if report is None:
-        report = validate_algebra(constants)
-        _VALIDATED[key] = report
+    report = _validation(constants)
     if not report.ok:
         raise ValueError("structure constants are not a graded Lie algebra: %s"
                          % "; ".join(report.failures[:3]))
-
-
-def adjoint_matrix(constants, x):
-    """ad_x in the graded basis: A(x)[k][j] = sum_i L_ij^k x_i.
-
-    Works for Fraction entries and for polynomial entries alike.  The
-    grading makes A(x) strictly weight-raising, hence nilpotent of order
-    at most the step.
-    """
-    n = constants.n
-    a = [[0] * n for _ in range(n)]
-    for (i, j, k), c in constants.items_full():
-        a[k][j] = a[k][j] + c * x[i]
-    return a
 
 
 def _ad_rows(constants, x):
@@ -196,9 +185,11 @@ def dynkin_words(step):
     Returns tuples (coefficient, letters) where letters is a string over
     'x'/'y'; the final letter is the vector the preceding ad-operators act
     on.  Words whose last two letters coincide are dropped (ad_v v = 0), and
-    words longer than the step vanish by grading.
+    words longer than the step vanish by grading.  Block sequences that
+    spell the same letters are merged into one word with the summed
+    coefficient, and words whose coefficients cancel are dropped.
     """
-    words = []
+    words = {}
 
     def blocks(nblocks, prefix, used):
         if nblocks == 0:
@@ -220,8 +211,8 @@ def dynkin_words(step):
             for s, t in combo:
                 denom *= math.factorial(s) * math.factorial(t)
             coef = Fraction((-1) ** (nb - 1), nb) / denom
-            words.append((coef, letters))
-    return tuple(words)
+            words[letters] = words.get(letters, 0) + coef
+    return tuple((coef, letters) for letters, coef in words.items() if coef)
 
 
 def group_product(x, y, constants):
@@ -266,24 +257,16 @@ def group_inverse(x):
     return tuple(-Fraction(c) for c in x)
 
 
-_SYMBOLIC_CACHE = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def dynkin_symbolic(constants):
     """The group law as a PolyMap in 2n variables (x_1..x_n, y_1..y_n)."""
-    key = constants.key()
-    got = _SYMBOLIC_CACHE.get(key)
-    if got is not None:
-        return got
     n = constants.n
     nn = 2 * n
     xs = [RationalPoly.variable(nn, j) for j in range(n)]
     ys = [RationalPoly.variable(nn, n + j) for j in range(n)]
     zero = RationalPoly.zero(nn)
     comps = [c if c else zero for c in group_product(xs, ys, constants)]
-    result = PolyMap(comps)
-    _SYMBOLIC_CACHE[key] = result
-    return result
+    return PolyMap(comps)
 
 
 def _drop_second_block(poly, n):
@@ -297,19 +280,14 @@ def _drop_second_block(poly, n):
     return RationalPoly(n, terms)
 
 
-_FIELD_CACHE = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def left_invariant_fields(constants):
-    """The canonical left-invariant frame of the group law.
+    """The canonical left-invariant frame of the group law, as a tuple
+    shared by every caller.
 
     Coefficients come from differentiating the symbolic law in the second
     argument at y = 0: b_jk(x) = d(x . y)_k / dy_j |_{y=0}.
     """
-    key = constants.key()
-    got = _FIELD_CACHE.get(key)
-    if got is not None:
-        return got
     n = constants.n
     z = dynkin_symbolic(constants)
     origin_y = [RationalPoly.variable(2 * n, j) for j in range(n)] + \
@@ -321,8 +299,7 @@ def left_invariant_fields(constants):
             b = z.components[k].partial(n + j).substitute(origin_y)
             coeffs.append(_drop_second_block(b, n))
         fields.append(PolyVectorField(coeffs))
-    _FIELD_CACHE[key] = fields
-    return fields
+    return tuple(fields)
 
 
 def group_frame(constants, base_point=None):

@@ -302,17 +302,6 @@ def verification_report_obj(report):
             "truncated": bool(report.details.get("truncated", False))}
 
 
-def scaling_report_obj(report):
-    return {"m": report.m,
-            "t_grid": [frac_str(t) for t in report.t_grid],
-            "passed": report.passed,
-            "entries": [{"direction": [frac_str(c) for c in e["direction"]],
-                         "values": e["values"],
-                         "slope": e["slope"],
-                         "exact": e["exact"],
-                         "passed": e["passed"]} for e in report.entries]}
-
-
 def _track_obj(track):
     return {"label": track.label,
             "values": track.values,

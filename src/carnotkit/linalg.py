@@ -22,17 +22,13 @@ def mat_vec(a, v):
     return tuple(sum((aij * vj for aij, vj in zip(row, v)), Fraction(0)) for row in a)
 
 
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def _eliminate(a, rhs_cols):
-    """Gauss-Jordan on [a | rhs]; returns the transformed rhs columns."""
+def mat_inv(a):
+    """Exact inverse by Gauss-Jordan elimination on [a | I]."""
     n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(x) for x in rhs]
-            for row, rhs in zip(a, rhs_cols)]
-    width = len(work[0])
+    if any(len(row) != n for row in a):
+        raise ValueError("inversion needs a square matrix")
+    work = [[Fraction(x) for x in row] + unit
+            for row, unit in zip(a, identity_matrix(n))]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
@@ -45,39 +41,4 @@ def _eliminate(a, rhs_cols):
             if r != col and work[r][col]:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:width] for row in work]
-
-
-def mat_inv(a):
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inversion needs a square matrix")
-    return _eliminate(a, identity_matrix(n))
-
-
-def solve(a, b):
-    """Solve a x = b exactly; b is a vector."""
-    n = len(a)
-    cols = _eliminate(a, [[x] for x in b])
-    return tuple(cols[i][0] for i in range(n))
-
-
-def det(a):
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        pv = work[col][col]
-        out *= pv
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return out * sign
+    return [row[n:] for row in work]

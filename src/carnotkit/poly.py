@@ -295,9 +295,6 @@ class RationalPoly:
         p.terms = acc
         return p
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self):
         return [(exp, self.terms[exp]) for exp in sorted(self.terms, key=term_sort_key)]
 
@@ -320,22 +317,6 @@ class RationalPoly:
 # ---------------------------------------------------------------------------
 # Weighted filters.
 # ---------------------------------------------------------------------------
-
-
-def homogeneous_part(f, d, weights):
-    """Terms of f with weighted degree exactly d."""
-    ws = as_weights(weights)
-    return RationalPoly(f.n, {e: c for e, c in f.terms.items()
-                              if weighted_degree(e, ws) == d})
-
-
-def weight_split(f, weights):
-    """Split f into weighted-homogeneous layers: {d: f_d}."""
-    ws = as_weights(weights)
-    layers = {}
-    for e, c in f.terms.items():
-        layers.setdefault(weighted_degree(e, ws), {})[e] = c
-    return {d: RationalPoly(f.n, t) for d, t in sorted(layers.items())}
 
 
 def take_weight_le(f, weights, bound):
@@ -429,6 +410,40 @@ def truncate_weight(m, weights, max_weight):
     return PolyMap([take_weight_le(c, weights, max_weight) for c in m.components])
 
 
+def weight_shape(components, weights):
+    """Split a square map into components x_k + q_k and grade the tails q_k.
+
+    Returns (tails, ranks).  ranks[k] is 0 when every term of q_k has at
+    least two factors and weighted degree <= w_k (a unit-triangular
+    correction), 1 when q_k still involves only variables of weight < w_k,
+    and 2 when it involves a variable of weight >= w_k (a weight-raising
+    term).  A map whose ranks are all below 2 inverts exactly in one
+    weight-ordered sweep.  Raises ValueError on a linear term x_j with
+    w_j = w_k, j = k included: no weight-ordered sweep resolves it.
+    """
+    ws = as_weights(weights)
+    n = len(ws)
+    if len(components) != n or any(c.n != n for c in components):
+        raise ValueError("need a square map matching the weights")
+    tails, ranks = [], []
+    for k, comp in enumerate(components):
+        q = comp - RationalPoly.variable(n, k)
+        rank = 0
+        for exp in q.terms:
+            used = [ws[j] for j, e in enumerate(exp) if e]
+            if sum(exp) == 1 and used[0] == ws[k]:
+                raise ValueError(
+                    "component %d has the linear term %s of the same weight; "
+                    "the map is not unipotent" % (k + 1, monomial_str(exp, 1)))
+            if any(w >= ws[k] for w in used):
+                rank = 2
+            elif sum(exp) < 2 or weighted_degree(exp, ws) > ws[k]:
+                rank = max(rank, 1)
+        tails.append(q)
+        ranks.append(rank)
+    return tails, ranks
+
+
 class TriangularMap(PolyMap):
     """Unit-triangular map: component k is x_k plus monomials with
     |alpha| >= 2 and <alpha> <= w_k.
@@ -442,20 +457,13 @@ class TriangularMap(PolyMap):
         PolyMap.__init__(self, components)
         from .graded import WeightVector
         self.weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
-        if self.n_in != self.weights.n or self.n_out != self.weights.n:
-            raise ValueError("triangular maps must be square and match the weights")
-        ws = self.weights.weights
-        for k, comp in enumerate(self.components):
-            tail = comp - RationalPoly.variable(self.n_in, k)
-            for exp, _ in tail.terms.items():
-                if sum(exp) < 2:
-                    raise ValueError(
-                        "component %d is not unit-triangular (affine term %s)"
-                        % (k + 1, monomial_str(exp, 1)))
-                if weighted_degree(exp, ws) > ws[k]:
-                    raise ValueError(
-                        "component %d has overweight term %s (<alpha> > w_k)"
-                        % (k + 1, monomial_str(exp, 1)))
+        _, ranks = weight_shape(self.components, self.weights.weights)
+        for k, rank in enumerate(ranks):
+            if rank:
+                raise ValueError(
+                    "component %d is not unit-triangular: its tail needs "
+                    "terms of two or more factors and weighted degree <= w_%d"
+                    % (k + 1, k + 1))
 
     @classmethod
     def identity_map(cls, weights):
@@ -475,86 +483,63 @@ class TriangularMap(PolyMap):
         return self.components[k] - RationalPoly.variable(self.n_in, k)
 
 
-def invert_weight_triangular(m, weights):
-    """Exact inverse of a map whose k-th component is x_k + q_k, where q_k
-    uses only variables of weight < w_k (constants are allowed).
+def invert_weight_triangular(m, weights, max_weight=None):
+    """Inverse of a square map with components x_k + q_k, by sweeps
+    g_k <- y_k - q_k(g) in increasing weight order.
 
-    Back-substitution in increasing weight order: g_k = y_k - q_k(g_lower).
-    Raises ValueError when some q_k touches a variable of weight >= w_k.
+    When every q_k involves only variables of weight < w_k (constants are
+    allowed), one sweep gives the exact inverse.  Otherwise some q_k raises
+    the weight and only a truncated inverse exists, so ``max_weight`` is
+    required: the sweeps are clipped to weighted degree <= max_weight and
+    repeat until g stops changing, and the result satisfies m(g(y)) = y
+    modulo monomials of weighted degree > max_weight (checked; a failure
+    raises ArithmeticError).  Raises ValueError on a linear term x_j with
+    w_j = w_k and, when truncating, on a constant term.
     """
     comps = m.components if isinstance(m, PolyMap) else list(m)
-    n = len(comps)
     ws = as_weights(weights)
-    if len(ws) != n or any(c.n != n for c in comps):
-        raise ValueError("inversion needs a square map matching the weights")
+    tails, ranks = weight_shape(comps, ws)
+    n = len(ws)
+    order = sorted(range(n), key=lambda i: ws[i])
     ident = [RationalPoly.variable(n, j) for j in range(n)]
-    inv = [None] * n
-    for k in sorted(range(n), key=lambda i: ws[i]):
-        q = comps[k] - ident[k]
-        for exp in q.terms:
-            for j, e in enumerate(exp):
-                if e and ws[j] >= ws[k]:
-                    raise ValueError(
-                        "component %d depends on x%d, whose weight is not "
-                        "below w_%d" % (k + 1, j + 1, k + 1))
-        args = [inv[j] if inv[j] is not None else ident[j] for j in range(n)]
-        inv[k] = ident[k] - q.substitute(args)
-    return PolyMap(inv)
+    g = list(ident)
+    exact = all(rank < 2 for rank in ranks)
+    if not exact:
+        if max_weight is None:
+            raise ValueError("no exact inverse; pass max_weight to truncate")
+        if max_weight < max(ws):
+            raise ValueError("max_weight must be at least the largest weight")
+        if any((0,) * n in q.terms for q in tails):
+            raise ValueError("a constant term leaves no truncated inverse")
+    bound = None if exact else max_weight
+    # Once the layers of total degree below D are exact, layer D settles
+    # within one sweep per distinct weight: a weight-raising linear term
+    # hands an error down one weight level per sweep.  g has at most
+    # max_weight layers, and the last sweep confirms that nothing changed.
+    # (Linear terms of lower weight mixed with raising ones can defeat
+    # this; the residual check below then fails.)
+    for _ in range(1 if exact else max_weight * len(set(ws)) + 1):
+        before = list(g)
+        for k in order:
+            g[k] = ident[k] - tails[k].substitute(g, ws, bound)
+        if g == before:
+            break
+    g = PolyMap(g)
+    if exact:
+        return g
+    residual = PolyMap(comps).compose(g, ws, max_weight) - PolyMap.identity(n)
+    if any(not c.is_zero for c in residual.components):
+        raise ArithmeticError("truncated inversion failed to stabilize")
+    return g
 
 
 def invert_triangular(m):
     """Exact inverse of a TriangularMap; again a TriangularMap."""
-    if not isinstance(m, TriangularMap):
-        raise TypeError("invert_triangular expects a TriangularMap")
-    out = invert_weight_triangular(m, m.weights)
-    return TriangularMap(out.components, m.weights)
+    return TriangularMap(invert_weight_triangular(m, m.weights).components, m.weights)
 
 
 def invert_perturbed_triangular(m, weights, max_weight):
-    """Truncated inverse of m = h + R with h unit-triangular and R a tail of
-    weighted degree > w_k per component.
-
-    Returns g with m(g(x)) = x modulo monomials of weighted degree
-    > max_weight (uniform truncation).  The iteration is
-    g <- h^{-1} . (id - R . g); each pass pushes the error up by at least
-    one weighted degree, so it stabilizes within max_weight passes.
-    """
-    from .graded import WeightVector
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
-    ws = wv.weights
-    n = wv.n
-    if not isinstance(m, PolyMap) or m.n_in != n or m.n_out != n:
-        raise ValueError("perturbed inversion needs a square map")
-    if max_weight < max(ws):
-        raise ValueError("max_weight must be at least the largest weight")
-
-    ident = PolyMap.identity(n)
-    h_comps, r_comps = [], []
-    for k, comp in enumerate(m.components):
-        tail = comp - ident.components[k]
-        keep, rest = {}, {}
-        for exp, c in tail.terms.items():
-            (keep if weighted_degree(exp, ws) <= ws[k] else rest)[exp] = c
-        h_comps.append(ident.components[k] + RationalPoly(n, keep))
-        r_comps.append(RationalPoly(n, rest))
-    try:
-        h = TriangularMap(h_comps, wv)
-    except ValueError as exc:
-        raise ValueError("leading part not invertible: %s" % exc)
-    r = PolyMap(r_comps)
-
-    h_inv = invert_triangular(h)
-    g = PolyMap(h_inv.components)
-    if all(c.is_zero for c in r.components):
-        return truncate_weight(g, ws, max_weight)
-    for _ in range(max_weight + 2):
-        rg = r.compose(g, ws, max_weight)
-        corrected = PolyMap([ident.components[k] - rg.components[k] for k in range(n)])
-        g_new = h_inv.compose(corrected, ws, max_weight)
-        if g_new == g:
-            break
-        g = g_new
-    residual = m.compose(g, ws, max_weight) - truncate_weight(ident, ws, max_weight)
-    if any(not c.is_zero for c in residual.components):
-        raise ArithmeticError("truncated inversion failed to stabilize")
-    return g
+    """Inverse of m truncated at weighted degree max_weight (the exact
+    inverse, clipped, when m has one); see invert_weight_triangular."""
+    return truncate_weight(invert_weight_triangular(m, weights, max_weight),
+                           weights, max_weight)

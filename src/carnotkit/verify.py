@@ -6,7 +6,6 @@ raises ArithmeticError because it means a bug, not a property of the input.
 """
 
 from fractions import Fraction
-import random
 
 from .coords import ChartSampler, epsilon, transform_frame
 from .graded import (DEFAULT_T_GRID, WeightVector, dilate, fit_loglog_slope,
@@ -15,7 +14,7 @@ from .graded import (DEFAULT_T_GRID, WeightVector, dilate, fit_loglog_slope,
 from .groups import (StructureConstants, group_product,
                      left_invariant_fields, validate_algebra)
 from .poly import PolyMap, RationalPoly, TriangularMap, monomial_str
-from .vfields import Frame, bracket as vf_bracket, expand
+from .vfields import DegenerateFrameError, Frame, bracket as vf_bracket, expand
 
 
 class VerificationReport:
@@ -387,7 +386,7 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
             y = dilate(y0, t, ws)
             try:
                 ey = epsilon(Frame(work.fields, wv, y, check=False))
-            except ValueError:
+            except DegenerateFrameError:
                 skipped.append(t)
                 continue
             minus_y = tuple(-v for v in y)

@@ -8,6 +8,11 @@ from .graded import (WeightVector, as_weights, iter_weighted_exponents,
 from .poly import PolyMap, RationalPoly, monomial_str
 
 
+class DegenerateFrameError(ValueError):
+    """The frame's coefficient matrix B(x) is singular at the point asked
+    about, so the fields do not span the tangent space there."""
+
+
 class PolyVectorField:
     """X = sum_k c_k(x) d/dx_k with polynomial coefficients c_k."""
 
@@ -231,6 +236,15 @@ class Frame:
         point = self.base_point if point is None else point
         return [list(x.evaluate(point)) for x in self.fields]
 
+    def adapted_matrix(self, point=None):
+        """(B(point)^t)^{-1}; DegenerateFrameError when B(point) is singular."""
+        point = self.base_point if point is None else point
+        try:
+            return linalg.mat_inv(linalg.transpose(self.coefficient_matrix(point)))
+        except ValueError:
+            raise DegenerateFrameError("frame is degenerate (B(x) singular) at %s"
+                                       % (point,))
+
     def at_base(self, point, check=False):
         """Same fields, new base point."""
         return Frame(self.fields, self.weights, point, check=check)
@@ -239,17 +253,14 @@ class Frame:
         """All constants L_ij^k(point) (i < j, zero entries dropped) from
         [X_i, X_j](point) = sum_k L_ij^k(point) X_k(point).
 
-        Raises ValueError when B(point) is singular or when some bracket
-        leaves the filtration (a nonzero lambda_k with w_k > w_i + w_j).
+        Raises DegenerateFrameError when B(point) is singular and ValueError
+        when some bracket leaves the filtration (a nonzero lambda_k with
+        w_k > w_i + w_j).
         """
         point = self.base_point if point is None else tuple(Fraction(x) for x in point)
         ws = self.weights.weights
         n = self.n
-        bt = linalg.transpose(self.coefficient_matrix(point))
-        try:
-            bt_inv = linalg.mat_inv(bt)
-        except ValueError:
-            raise ValueError("frame is degenerate (B(x) singular) at %s" % (point,))
+        bt_inv = self.adapted_matrix(point)
         table = {}
         for i in range(n):
             for j in range(i + 1, n):

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from carnotkit.graded import WeightVector, dilate
 from carnotkit.groups import (
-    StructureConstants, catalog, catalog_names, dynkin_product, group_frame,
-    group_inverse, group_product, left_invariant_fields,
+    StructureConstants, catalog, catalog_names, dynkin_product, dynkin_words,
+    group_frame, group_inverse, group_product, left_invariant_fields,
     structure_constants_at, validate_algebra,
 )
 
@@ -94,6 +94,26 @@ def test_left_invariant_fields_match_oracle(group_entry, rng):
         rows = oracles.left_invariant_vectors(sc, n, pt)
         for j in range(n):
             assert tuple(li[j].evaluate(pt)) == tuple(rows[j])
+
+
+def test_left_invariant_fields_cache_survives_caller_mutation():
+    # constants of their own, so the cache entry is not shared with other tests
+    sc = StructureConstants((1, 1, 2), {(0, 1, 2): Fraction(7, 3)})
+    fields = left_invariant_fields(sc)
+    try:
+        fields.append(fields[0])
+    except AttributeError:
+        pass
+    assert len(left_invariant_fields(sc)) == 3
+    assert len(group_frame(sc).fields) == 3
+
+
+def test_dynkin_words_are_merged_by_letters():
+    for step in range(1, 8):
+        words = dynkin_words(step)
+        letters = [w for _, w in words]
+        assert len(letters) == len(set(letters))
+        assert all(coef for coef, _ in words)
 
 
 def test_structure_constants_round_trip(group_entry):

@@ -154,6 +154,82 @@ def test_invert_perturbed_triangular_rejects_bad_leading_part():
         invert_perturbed_triangular(m, ws, 4)
 
 
+STEP3_WEIGHTS = [(1, 1, 2, 3), (1, 2, 3), (1, 1, 2, 3, 3)]
+
+
+@st.composite
+def step3_unipotent_maps(draw, raising):
+    """Component k is x_k plus products of two or three variables of weight
+    below w_k and then, when ``raising``, possibly a linear x_j with
+    w_j > w_k and a product x_i x_j with w_j >= w_k, else possibly a
+    constant."""
+    ws = draw(st.sampled_from(STEP3_WEIGHTS))
+    n = len(ws)
+    xs = [RationalPoly.variable(n, j) for j in range(n)]
+    comps = []
+    for k in range(n):
+        comp = xs[k]
+        lower = [j for j in range(n) if ws[j] < ws[k]]
+        for _ in range(draw(st.integers(0, 2)) if lower else 0):
+            factors = draw(st.lists(st.sampled_from(lower), min_size=2, max_size=3))
+            term = draw(fractions(4, 3))
+            for j in factors:
+                term = term * xs[j]
+            comp = comp + term
+        if raising:
+            higher = [j for j in range(n) if ws[j] > ws[k]]
+            if higher and draw(st.booleans()):
+                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(higher))]
+            if draw(st.booleans()):
+                j = draw(st.sampled_from([j for j in range(n) if ws[j] >= ws[k]]))
+                i = draw(st.integers(0, n - 1))
+                comp = comp + draw(fractions(4, 3)) * xs[i] * xs[j]
+        elif draw(st.booleans()):
+            comp = comp + draw(fractions(4, 3))
+        comps.append(comp)
+    return PolyMap(comps), ws
+
+
+@given(step3_unipotent_maps(raising=True), st.integers(0, 2))
+def test_kernel_inverts_modulo_the_bound(mws, extra):
+    m, ws = mws
+    bound = max(ws) + extra
+    g = invert_weight_triangular(m, ws, bound)
+    assert m.compose(g, ws, bound) == PolyMap.identity(len(ws))
+
+
+@given(step3_unipotent_maps(raising=False), st.integers(0, 2))
+def test_kernel_exact_inverse_and_its_truncation(mws, extra):
+    m, ws = mws
+    ident = PolyMap.identity(len(ws))
+    g = invert_weight_triangular(m, ws)
+    assert m.compose(g) == ident
+    assert g.compose(m) == ident
+    bound = max(ws) + extra
+    assert (invert_perturbed_triangular(m, ws, bound)
+            == truncate_weight(g, ws, bound))
+
+
+@given(step3_unipotent_maps(raising=True), st.data())
+def test_kernel_rejects_level_linear_terms_and_truncated_constants(mws, data):
+    m, ws = mws
+    n = len(ws)
+    k = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.sampled_from([j for j in range(n) if ws[j] == ws[k]]))
+    level = list(m.components)
+    level[k] = level[k] + RationalPoly.variable(n, j) * Fraction(1, 2)
+    with pytest.raises(ValueError):
+        invert_weight_triangular(PolyMap(level), ws, max(ws))
+    # a weight-raising term makes the map truncated; a constant is then refused
+    top = max(range(n), key=lambda i: ws[i])
+    low = min(range(n), key=lambda i: ws[i])
+    shifted = list(m.components)
+    shifted[low] = shifted[low] + RationalPoly.variable(n, top) ** 3
+    shifted[k] = shifted[k] + RationalPoly.const(n, 1)
+    with pytest.raises(ValueError, match="constant"):
+        invert_weight_triangular(PolyMap(shifted), ws, max(ws))
+
+
 def test_polymap_compose_associative():
     x1, x2 = (RationalPoly.variable(2, k) for k in range(2))
     f = PolyMap([x1 + x2 * x2, x2])

@@ -9,6 +9,7 @@ from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.coords import (
     CoordinateChange, canonical_first_kind, canonical_second_kind, epsilon,
 )
+from carnotkit.vfields import DegenerateFrameError, Frame, PolyVectorField
 from carnotkit.verify import (
     check_carnot, check_privileged, generate_adversarial_variants,
     generate_carnot_variants, generate_privileged_variants,
@@ -158,6 +159,33 @@ def test_osculation_decays_on_perturbed_frame(rng):
     for entry in report.entries:
         for track in (entry.r_track, entry.rt_track):
             assert track.exact or track.slope >= 0.9
+
+
+def test_osculation_skips_the_scale_where_the_frame_degenerates():
+    # X1 = (1 - 2 x1) d1 vanishes at x1 = 1/2, which y = t * y0 meets at t = 1/2 only
+    x1 = RationalPoly.variable(1, 0)
+    frame = Frame([PolyVectorField([1 - 2 * x1])], (1,), (0,))
+    report = osculation_report(frame, directions=[((Fraction(1, 3),), (Fraction(1),))])
+    track = report.entries[0].r_track
+    assert track.skipped == [Fraction(1, 2)]
+    assert track.ts == [Fraction(1, 2 ** k) for k in range(2, 11)]
+
+
+def test_osculation_does_not_skip_other_value_errors():
+    # [X1, X2] = X3 + 2 x1 X4 leaves the weight filtration away from x1 = 0,
+    # so epsilon fails at every scale, though B(y) is never singular
+    n = 4
+    x1 = RationalPoly.variable(n, 0)
+    one, zero = RationalPoly.const(n, 1), RationalPoly.zero(n)
+    fields = [PolyVectorField([one, zero, zero, zero]),
+              PolyVectorField([zero, one, x1, x1 * x1]),
+              PolyVectorField([zero, zero, one, zero]),
+              PolyVectorField([zero, zero, zero, one])]
+    frame = Frame(fields, (1, 1, 2, 3), (0, 0, 0, 0))
+    direction = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    with pytest.raises(ValueError) as info:
+        osculation_report(frame, directions=[(direction, direction)])
+    assert not isinstance(info.value, DegenerateFrameError)
 
 
 def test_osculation_needs_directions_or_rng(h3_frame):
