@@ -6,7 +6,9 @@ Inputs are JSON documents (see io.py) given as a file path, a catalog name
     carnot catalog heisenberg_3 | carnot group-law --x 1,0,0 --y 0,1,0
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or input
-errors.  The CARNOT_SEED environment variable overrides --seed everywhere.
+errors, 3 internal error (an ArithmeticError: two routes disagreed, which
+is a bug).  The CARNOT_SEED environment variable overrides --seed
+everywhere.
 """
 
 import argparse
@@ -404,6 +406,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("error: internal: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

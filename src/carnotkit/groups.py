@@ -100,45 +100,36 @@ class AlgebraReport:
 
 def validate_algebra(constants):
     """Check antisymmetry (by construction), grading compatibility
-    (L_ij^k = 0 unless w_i + w_j = w_k) and the Jacobi identity."""
+    (L_ij^k = 0 unless w_i + w_j = w_k) and the Jacobi identity, whose
+    cyclic sums are built from pairs of nonzero entries L_ab^m (a < b),
+    L_mc^l (c not in {a, b}); a pair counts negative when a < c < b."""
     ws = constants.weights.weights
-    n = constants.n
     failures = []
     for (i, j, k), c in sorted(constants.table.items()):
         if ws[i] + ws[j] != ws[k]:
             failures.append(
                 "grading: L(%d,%d)^%d = %s but w_%d + w_%d = %d != %d = w_%d"
                 % (i + 1, j + 1, k + 1, c, i + 1, j + 1, ws[i] + ws[j], ws[k], k + 1))
-    get = constants.get
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    total = Fraction(0)
-                    for m_ in range(n):
-                        total += (get(i, j, m_) * get(m_, k, l)
-                                  + get(j, k, m_) * get(m_, i, l)
-                                  + get(k, i, m_) * get(m_, j, l))
-                    if total:
-                        failures.append(
-                            "jacobi: cyclic sum for (%d, %d, %d) -> %d is %s"
+    by_first = {}
+    for (a, c, l), v in constants.items_full():
+        by_first.setdefault(a, []).append((c, l, v))
+    sums = {}
+    for (a, b, m), u in constants.table.items():
+        for c, l, v in by_first.get(m, ()):
+            if c == a or c == b:
+                continue
+            term = u * v
+            key = tuple(sorted((a, b, c))) + (l,)
+            sums[key] = sums.get(key, 0) + (-term if a < c < b else term)
+    for (i, j, k, l), total in sorted(sums.items()):
+        if total:
+            failures.append("jacobi: cyclic sum for (%d, %d, %d) -> %d is %s"
                             % (i + 1, j + 1, k + 1, l + 1, total))
     return AlgebraReport(not failures, failures)
 
 
-# Per-algebra memos keep the most recently used algebras: a caller works on
-# a handful at a time, and a stream of fresh algebras must not grow the
-# process without bound.
-_MEMO_SIZE = 32
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _validation(constants):
-    return validate_algebra(constants)
-
-
 def _require_valid(constants):
-    report = _validation(constants)
+    report = validate_algebra(constants)
     if not report.ok:
         raise ValueError("structure constants are not a graded Lie algebra: %s"
                          % "; ".join(report.failures[:3]))
@@ -257,6 +248,12 @@ def group_inverse(x):
     return tuple(-Fraction(c) for c in x)
 
 
+# Per-algebra memos keep the most recently used algebras: a caller works on
+# a handful at a time, and a stream of fresh algebras must not grow the
+# process without bound.
+_MEMO_SIZE = 32
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def dynkin_symbolic(constants):
     """The group law as a PolyMap in 2n variables (x_1..x_n, y_1..y_n)."""
@@ -281,25 +278,22 @@ def _drop_second_block(poly, n):
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def left_invariant_fields(constants):
-    """The canonical left-invariant frame of the group law, as a tuple
-    shared by every caller.
-
-    Coefficients come from differentiating the symbolic law in the second
-    argument at y = 0: b_jk(x) = d(x . y)_k / dy_j |_{y=0}.
-    """
+def _invariant_coefficients(constants):
+    """Rows b_jk(x) = d(x . y)_k / dy_j |_{y=0} of the symbolic law."""
     n = constants.n
     z = dynkin_symbolic(constants)
     origin_y = [RationalPoly.variable(2 * n, j) for j in range(n)] + \
                [RationalPoly.zero(2 * n) for _ in range(n)]
-    fields = []
-    for j in range(n):
-        coeffs = []
-        for k in range(n):
-            b = z.components[k].partial(n + j).substitute(origin_y)
-            coeffs.append(_drop_second_block(b, n))
-        fields.append(PolyVectorField(coeffs))
-    return tuple(fields)
+    return tuple(
+        tuple(_drop_second_block(z.components[k].partial(n + j).substitute(origin_y), n)
+              for k in range(n))
+        for j in range(n))
+
+
+def left_invariant_fields(constants):
+    """The canonical left-invariant frame of the group law: new fields on
+    every call, around coefficient polynomials memoized per algebra."""
+    return tuple(PolyVectorField(row) for row in _invariant_coefficients(constants))
 
 
 def group_frame(constants, base_point=None):

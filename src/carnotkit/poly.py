@@ -398,8 +398,13 @@ class PolyMap:
                 for k in range(self.n_out)]
 
     def linear_matrix(self):
-        """Differential at the origin, as Fraction rows."""
-        return self.jacobian_at((Fraction(0),) * self.n_in)
+        """Differential at the origin: the degree-one coefficients, as Fraction rows."""
+        rows = [[Fraction(0)] * self.n_in for _ in self.components]
+        for row, comp in zip(rows, self.components):
+            for exp, c in comp.terms.items():
+                if sum(exp) == 1:
+                    row[exp.index(1)] = c
+        return rows
 
     def __repr__(self):
         return "PolyMap(%s)" % ", ".join(str(c) for c in self.components)

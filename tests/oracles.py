@@ -83,6 +83,48 @@ def left_invariant_vectors(constants, n, point):
 
 
 # ---------------------------------------------------------------------------
+# Dense validation of a structure-constant table.
+# ---------------------------------------------------------------------------
+
+def dense_algebra_failures(weights, constants):
+    """Failure strings of the graded Lie algebra check, in the library's
+    format: grading failures in table order, then every nonzero Jacobi
+    cyclic sum from the dense loop over (i < j < k, l, m), O(n^5) reads of
+    the antisymmetric table."""
+    table = _table_of(constants)
+    n = len(weights)
+
+    def get(i, j, k):
+        if i < j:
+            return Fraction(table.get((i, j, k), 0))
+        if i > j:
+            return -Fraction(table.get((j, i, k), 0))
+        return Fraction(0)
+
+    failures = []
+    for (i, j, k), c in sorted(table.items()):
+        if weights[i] + weights[j] != weights[k]:
+            failures.append(
+                "grading: L(%d,%d)^%d = %s but w_%d + w_%d = %d != %d = w_%d"
+                % (i + 1, j + 1, k + 1, c, i + 1, j + 1,
+                   weights[i] + weights[j], weights[k], k + 1))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(n):
+                    total = Fraction(0)
+                    for m in range(n):
+                        total += (get(i, j, m) * get(m, k, l)
+                                  + get(j, k, m) * get(m, i, l)
+                                  + get(k, i, m) * get(m, j, l))
+                    if total:
+                        failures.append(
+                            "jacobi: cyclic sum for (%d, %d, %d) -> %d is %s"
+                            % (i + 1, j + 1, k + 1, l + 1, total))
+    return failures
+
+
+# ---------------------------------------------------------------------------
 # Flow certificate: a solved flow is correct iff it satisfies its own ODE.
 # ---------------------------------------------------------------------------
 

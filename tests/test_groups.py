@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from carnotkit.graded import WeightVector, dilate
+from carnotkit.poly import RationalPoly
 from carnotkit.groups import (
     StructureConstants, catalog, catalog_names, dynkin_product, dynkin_words,
     group_frame, group_inverse, group_product, left_invariant_fields,
@@ -96,6 +97,14 @@ def test_left_invariant_fields_match_oracle(group_entry, rng):
             assert tuple(li[j].evaluate(pt)) == tuple(rows[j])
 
 
+def test_left_invariant_fields_are_fresh_per_call():
+    sc = catalog("heisenberg_3").constants
+    left_invariant_fields(sc)[0].coefficients.append(RationalPoly.zero(3))
+    first = left_invariant_fields(sc)[0]
+    assert len(first.coefficients) == 3
+    assert len(group_frame(sc).fields[0].coefficients) == 3
+
+
 def test_left_invariant_fields_cache_survives_caller_mutation():
     # constants of their own, so the cache entry is not shared with other tests
     sc = StructureConstants((1, 1, 2), {(0, 1, 2): Fraction(7, 3)})
@@ -161,6 +170,85 @@ def test_validate_rejects_jacobi_violation():
     sc = StructureConstants(ws, table)
     rep = validate_algebra(sc)
     assert not rep.ok
+
+
+def _free2(r):
+    """Free step-2 algebra of rank r: [e_i, e_j] = e_(ij) for i < j."""
+    table = {}
+    k = r
+    for i in range(r):
+        for j in range(i + 1, r):
+            table[(i, j, k)] = 1
+            k += 1
+    return StructureConstants((1,) * r + (2,) * (k - r), table)
+
+
+def _filiform(n):
+    """Model filiform algebra: [e_1, e_k] = e_(k+1), weights (1, 1, 2, ..., n-1)."""
+    return StructureConstants((1, 1) + tuple(range(2, n)),
+                              {(0, k, k + 1): 1 for k in range(1, n - 1)})
+
+
+def _assert_matches_dense_oracle(sc):
+    failures = oracles.dense_algebra_failures(sc.weights.weights, sc)
+    rep = validate_algebra(sc)
+    assert rep.failures == failures
+    assert rep.ok == (not failures)
+    return rep
+
+
+@st.composite
+def graded_tables(draw):
+    """Tables on n <= 8 basis vectors: a valid algebra (a model filiform or
+    free step-2 algebra, or a catalog group, in a randomly rescaled basis),
+    optionally with planted entries that may break grading or Jacobi; or an
+    arbitrary table on random weights."""
+    nonzero = fractions(4, 3).filter(bool)
+    base = draw(st.sampled_from(["filiform", "free2", "catalog", "random"]))
+    if base == "random":
+        ws = tuple(sorted(draw(st.lists(st.integers(1, 4), min_size=3, max_size=8))))
+        table = {}
+    else:
+        if base == "filiform":
+            sc = _filiform(draw(st.integers(3, 8)))
+        elif base == "free2":
+            sc = _free2(draw(st.integers(2, 3)))
+        else:
+            sc = draw(catalog_constants())
+        ws = sc.weights.weights
+        scales = draw(st.lists(nonzero, min_size=len(ws), max_size=len(ws)))
+        table = {(i, j, k): v * scales[i] * scales[j] / scales[k]
+                 for (i, j, k), v in sc.table.items()}
+    n = len(ws)
+    graded_keys = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+                   for k in range(n) if ws[i] + ws[j] == ws[k]]
+    index = st.integers(0, n - 1)
+    graded_only = bool(graded_keys) and draw(st.booleans())
+    for _ in range(draw(st.integers(0, 6 if base == "random" else 3))):
+        if graded_only:
+            key = draw(st.sampled_from(graded_keys))
+        else:
+            i, j = sorted(draw(st.lists(index, min_size=2, max_size=2, unique=True)))
+            key = (i, j, draw(index))
+        table[key] = draw(nonzero)
+    return StructureConstants(WeightVector(ws), table)
+
+
+@settings(max_examples=200)
+@given(graded_tables())
+def test_validate_matches_dense_oracle_on_random_tables(sc):
+    _assert_matches_dense_oracle(sc)
+
+
+def test_validate_matches_dense_oracle_on_scale_algebras():
+    for sc in (_free2(5), _filiform(8)):
+        assert _assert_matches_dense_oracle(sc).ok
+    # filiform_8 with [e2, e3] = e4 added: it grades, but the cyclic sum on
+    # (e1, e2, e3) is [[e2, e3], e1] = [e4, e1] = -e5
+    model = _filiform(8)
+    broken = StructureConstants(model.weights, {**model.table, (1, 2, 3): 1})
+    rep = _assert_matches_dense_oracle(broken)
+    assert rep.failures == ["jacobi: cyclic sum for (1, 2, 3) -> 5 is -1"]
 
 
 def test_constants_antisymmetry_on_read():

@@ -172,6 +172,19 @@ def test_cli_group_law_via_pipe(capsys, monkeypatch):
     assert doc["product"] == ["1", "1", "1/2"]
 
 
+def test_cli_internal_error_exits_3(capsys, monkeypatch):
+    """A route disagreement is a bug: exit 3 with one error line, no traceback."""
+    def disagree(*args):
+        raise ArithmeticError("model-field routes disagree; this is a bug")
+    monkeypatch.setattr(cli, "dynkin_product", disagree)
+    assert cli.main(["group-law", "heisenberg_3",
+                     "--x", "1,0,0", "--y", "0,1,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: internal: model-field routes disagree; this is a bug"]
+
+
 def test_cli_pipe_subprocess():
     """Same composition through real processes and the console script."""
     first = subprocess.run([sys.executable, "-m", "carnotkit.cli",

@@ -243,3 +243,17 @@ def test_polymap_jacobian_and_linear_part():
     f = PolyMap([x1 + 2 * x2 + x1 * x2, x2 - x1 * x1])
     jac = f.jacobian_at((Fraction(0), Fraction(0)))
     assert jac == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(small_polys(n), points(n + 1)), min_size=1, max_size=4)))
+def test_linear_matrix_is_jacobian_at_origin(rows):
+    # each component: a random polynomial plus a random linear form and constant
+    n = rows[0][0].n
+    comps = [p + coefs[n] + sum((RationalPoly.variable(n, j) * c
+                                 for j, c in enumerate(coefs[:n])), RationalPoly.zero(n))
+             for p, coefs in rows]
+    m = PolyMap(comps)
+    lin = m.linear_matrix()
+    assert lin == m.jacobian_at((Fraction(0),) * n)
+    assert all(isinstance(c, Fraction) for row in lin for c in row)
