@@ -251,10 +251,10 @@ def cmd_canonical2(args):
     return _canonical(args, canonical_second_kind)
 
 
-def _check(args, checker, **extra):
+def _check(args, checker):
     frame = _as_frame(*_read_source(args.input), base=args.base)
     change = _resolve_change(args.change, frame)
-    report = checker(frame, change, max_weight=args.max_weight, **extra)
+    report = checker(frame, change)
     _emit(io.verification_report_obj(report))
     return 0 if report.ok else 1
 
@@ -377,9 +377,6 @@ def build_parser():
         p.add_argument("--change", required=True,
                        help="epsilon | first-kind | second-kind | psi | "
                             "identity | path to a change document")
-        p.add_argument("--max-weight", type=int,
-                       help="truncation depth for non-invertible changes "
-                            "(default r + 2)")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("osculate", help="tangent-group osculation test")

@@ -627,14 +627,11 @@ class NumericChart:
         basis = sorted(iter_weighted_exponents((1,) * n, degree, "le"),
                        key=term_sort_key)
         count = samples if samples is not None else 3 * len(basis)
-        base = np.array([float(v) for v in frame.base_point])
-        frame_ev = _frame_float_evaluator(frame.fields)
-        field_evs = [_field_float_evaluator(f) for f in frame.fields]
+        sampler = ChartSampler(frame, kind, step)
         rows, targets = [], []
         for _ in range(count):
             xi = np.array([rng.uniform(-float(box), float(box)) for _ in range(n)])
-            x = cls._forward_point(kind, base, xi, frame_ev, field_evs, step)
-            u = x - base
+            u = sampler.forward(xi) - sampler.base
             rows.append([np.prod(u ** np.array(exp, dtype=float)) for exp in basis])
             targets.append(xi)
         a_mat = np.array(rows)
@@ -643,16 +640,6 @@ class NumericChart:
         coeffs[np.abs(coeffs) < 1e-8] = 0.0
         return cls(kind, wv, tuple(frame.base_point), degree, float(box),
                    basis, coeffs, float(step), count)
-
-    @staticmethod
-    def _forward_point(kind, base, xi, frame_ev, field_evs, step):
-        if kind == "first":
-            return _rk4(lambda p: frame_ev(p).T @ xi, base, 1.0, step)
-        x = base.copy()
-        for j in reversed(range(len(xi))):
-            if xi[j]:
-                x = _rk4(field_evs[j], x, float(xi[j]), step)
-        return x
 
     def evaluate(self, x):
         u = np.array([float(v) for v in x]) - np.array(
@@ -673,9 +660,17 @@ class ChartSampler:
         self._frame_ev = _frame_float_evaluator(frame.fields)
         self._field_evs = [_field_float_evaluator(f) for f in frame.fields]
 
+    def forward(self, xi):
+        """The endpoint x, as a float array, for a float array xi."""
+        if self.kind == "first":
+            return _rk4(lambda p: self._frame_ev(p).T @ xi, self.base, 1.0,
+                        self.step)
+        x = self.base.copy()
+        for j in reversed(range(len(xi))):
+            if xi[j]:
+                x = _rk4(self._field_evs[j], x, float(xi[j]), self.step)
+        return x
+
     def __call__(self, xi):
-        xi = np.array([float(v) for v in xi])
-        x = NumericChart._forward_point(self.kind, self.base, xi,
-                                        self._frame_ev, self._field_evs,
-                                        self.step)
+        x = self.forward(np.array([float(v) for v in xi]))
         return tuple(float(v) for v in x)

@@ -53,10 +53,6 @@ class WeightVector:
     def __repr__(self):
         return "WeightVector(%r)" % (self.weights,)
 
-    def product_weights(self):
-        """Duplicated weights on R^n x R^n, as a raw tuple."""
-        return self.weights + self.weights
-
 
 def as_weights(w):
     """Raw weight tuple from a WeightVector or any iterable of ints."""
@@ -167,7 +163,10 @@ def ow_class_poly(residual, m, weights, in_weights=None):
     return not ow_violations(residual, m, weights, in_weights)
 
 
-DEFAULT_T_GRID = tuple(Fraction(1, 2 ** k) for k in range(1, 13))
+DEFAULT_T_GRID = tuple(Fraction(1, 2 ** k) for k in range(1, 11))
+
+# A sampled residual decays like t^m when its log-log slope reaches m - SLOPE_SLACK.
+SLOPE_SLACK = 0.1
 
 # Rescaled samples below this size count as exact zeros (guards float
 # underflow; exact-rational samples compare equal to zero anyway).
@@ -186,34 +185,60 @@ def fit_loglog_slope(ts, values):
     return sxy / sxx
 
 
+class DecayTrack:
+    """Rescaled residual sizes at scales ``ts`` along one direction (named
+    by ``label``) and whether they decay like t^m: an ``exact`` (identically
+    zero) track passes when it has a sample, any other when the log-log
+    slope of its nonzero samples reaches ``m - SLOPE_SLACK``."""
+
+    def __init__(self, label, m, ts, values, exact, skipped=()):
+        self.label = label
+        self.m = m
+        self.ts = ts
+        self.values = values
+        self.exact = exact
+        self.skipped = skipped
+        nonzero = [(t, v) for t, v in zip(ts, values) if v > 0.0]
+        self.slope = (fit_loglog_slope([t for t, _ in nonzero],
+                                       [v for _, v in nonzero])
+                      if len(nonzero) >= 2 else None)
+
+    @property
+    def passed(self):
+        if self.exact:
+            return bool(self.ts)
+        return self.slope is not None and self.slope >= self.m - SLOPE_SLACK
+
+
 class ScalingReport:
-    """Outcome of a decay-rate sampling test (one entry per direction)."""
+    """Outcome of a decay-rate sampling test (one DecayTrack per direction);
+    it passes when there is a track and every track passes."""
 
     def __init__(self, m, t_grid, entries):
         self.m = m
         self.t_grid = tuple(t_grid)
         self.entries = entries
-        self.passed = all(e["passed"] for e in entries)
+        self.passed = bool(entries) and all(e.passed for e in entries)
 
     def slopes(self):
-        return [e["slope"] for e in self.entries]
+        return [e.slope for e in self.entries]
 
     def __repr__(self):
         verdict = "pass" if self.passed else "FAIL"
         return "ScalingReport(m=%s, %d directions, %s)" % (self.m, len(self.entries), verdict)
 
 
-def ow_scaling_test(f, m, in_weights, out_weights, directions, t_grid=None):
+def ow_scaling_test(f, m, in_weights, out_weights, directions, t_grid=DEFAULT_T_GRID):
     """Numeric O_w(||x||^{w+m}) test for a sampled map.
 
     For each direction d and each t in the grid, record
-    ``|| delta_{1/t} f(t . d) ||``; the least-squares slope in log-log scale
-    must reach ``m - 0.1``.  Directions whose samples all vanish are reported
-    as exact and pass (this happens when the residual is identically zero).
+    ``|| delta_{1/t} f(t . d) ||`` in a :class:`DecayTrack` labelled by d.
+    Directions whose samples all vanish are exact (this happens when the
+    residual is identically zero).
     """
     ws_in = as_weights(in_weights)
     ws_out = as_weights(out_weights)
-    ts = tuple(t_grid) if t_grid is not None else DEFAULT_T_GRID
+    ts = tuple(t_grid)
     entries = []
     for d in directions:
         samples = []
@@ -226,15 +251,6 @@ def ow_scaling_test(f, m, in_weights, out_weights, directions, t_grid=None):
             if norm < _ZERO_CUTOFF:
                 norm = 0.0
             samples.append(norm)
-        nonzero = [(t, v) for t, v in zip(ts, samples) if v > 0.0]
-        entry = {"direction": tuple(d), "values": samples, "slope": None,
-                 "exact": False, "passed": False}
-        if not nonzero:
-            entry["exact"] = True
-            entry["passed"] = True
-        elif len(nonzero) >= 2:
-            slope = fit_loglog_slope([t for t, _ in nonzero], [v for _, v in nonzero])
-            entry["slope"] = slope
-            entry["passed"] = slope >= m - 0.1
-        entries.append(entry)
+        entries.append(DecayTrack(tuple(d), m, ts, samples,
+                                  not any(v > 0.0 for v in samples)))
     return ScalingReport(m, ts, entries)

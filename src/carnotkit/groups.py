@@ -248,15 +248,9 @@ def group_inverse(x):
     return tuple(-Fraction(c) for c in x)
 
 
-# Per-algebra memos keep the most recently used algebras: a caller works on
-# a handful at a time, and a stream of fresh algebras must not grow the
-# process without bound.
-_MEMO_SIZE = 32
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def dynkin_symbolic(constants):
-    """The group law as a PolyMap in 2n variables (x_1..x_n, y_1..y_n)."""
+    """The group law as a PolyMap in 2n variables (x_1..x_n, y_1..y_n),
+    built anew on every call."""
     n = constants.n
     nn = 2 * n
     xs = [RationalPoly.variable(nn, j) for j in range(n)]
@@ -277,7 +271,10 @@ def _drop_second_block(poly, n):
     return RationalPoly(n, terms)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+# The memo keeps the most recently used algebras: a caller works on a
+# handful at a time, and a stream of fresh algebras must not grow the
+# process without bound.  Its polynomials are shared, so callers copy them.
+@lru_cache(maxsize=32)
 def _invariant_coefficients(constants):
     """Rows b_jk(x) = d(x . y)_k / dy_j |_{y=0} of the symbolic law."""
     n = constants.n
@@ -291,9 +288,10 @@ def _invariant_coefficients(constants):
 
 
 def left_invariant_fields(constants):
-    """The canonical left-invariant frame of the group law: new fields on
-    every call, around coefficient polynomials memoized per algebra."""
-    return tuple(PolyVectorField(row) for row in _invariant_coefficients(constants))
+    """The canonical left-invariant frame of the group law: new fields and
+    coefficient polynomials on every call."""
+    return tuple(PolyVectorField([c.copy() for c in row])
+                 for row in _invariant_coefficients(constants))
 
 
 def group_frame(constants, base_point=None):

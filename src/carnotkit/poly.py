@@ -94,6 +94,18 @@ class RationalPoly:
     def monomial(cls, nvars, exp, c=1):
         return cls(nvars, {tuple(exp): _coef(c)})
 
+    @classmethod
+    def _from_terms(cls, nvars, terms):
+        """Wrap a dict of nonzero Fraction coefficients without checking it."""
+        p = cls.__new__(cls)
+        p.n = nvars
+        p.terms = terms
+        return p
+
+    def copy(self):
+        """A polynomial equal to this one that shares no mutable state."""
+        return RationalPoly._from_terms(self.n, dict(self.terms))
+
     # -- ring operations ----------------------------------------------
 
     @property
@@ -124,18 +136,13 @@ class RationalPoly:
                     out[exp] = s
                 else:
                     del out[exp]
-        p = RationalPoly.__new__(RationalPoly)
-        p.n = self.n
-        p.terms = out
-        return p
+        return RationalPoly._from_terms(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = RationalPoly.__new__(RationalPoly)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return RationalPoly._from_terms(self.n,
+                                        {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,10 +157,8 @@ class RationalPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coef(other)
-            p = RationalPoly.__new__(RationalPoly)
-            p.n = self.n
-            p.terms = {e: cc * c for e, cc in self.terms.items()} if c else {}
-            return p
+            terms = {e: cc * c for e, cc in self.terms.items()} if c else {}
+            return RationalPoly._from_terms(self.n, terms)
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_same(other)
@@ -171,10 +176,7 @@ class RationalPoly:
                         out[exp] = s
                     else:
                         del out[exp]
-        p = RationalPoly.__new__(RationalPoly)
-        p.n = self.n
-        p.terms = out
-        return p
+        return RationalPoly._from_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -290,10 +292,7 @@ class RationalPoly:
                         acc[e2] = s
                     else:
                         del acc[e2]
-        p = RationalPoly.__new__(RationalPoly)
-        p.n = m
-        p.terms = acc
-        return p
+        return RationalPoly._from_terms(m, acc)
 
     def sorted_terms(self):
         return [(exp, self.terms[exp]) for exp in sorted(self.terms, key=term_sort_key)]
@@ -390,7 +389,9 @@ class PolyMap:
         return hash(tuple(hash(c) for c in self.components))
 
     def constant_part(self):
-        return self.evaluate((Fraction(0),) * self.n_in)
+        """Value at the origin: each component's constant term."""
+        zero_exp = (0,) * self.n_in
+        return tuple(c.terms.get(zero_exp, Fraction(0)) for c in self.components)
 
     def jacobian_at(self, point):
         return [[self.components[k].partial(j).evaluate(point)

@@ -305,7 +305,7 @@ def crit10_first_kind(rng):
     scaling = numeric_chart_report(frame, "first", m=1, directions=directions)
     if not scaling.passed:
         return False, "numeric residual slopes %s" % scaling.slopes()
-    slopes = [e["slope"] for e in scaling.entries if e["slope"] is not None]
+    slopes = [e.slope for e in scaling.entries if e.slope is not None]
     return True, ("exact at 2 base points; numeric slopes %s"
                   % [round(s, 3) for s in slopes])
 

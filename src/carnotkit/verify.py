@@ -8,7 +8,7 @@ raises ArithmeticError because it means a bug, not a property of the input.
 from fractions import Fraction
 
 from .coords import ChartSampler, epsilon, transform_frame
-from .graded import (DEFAULT_T_GRID, WeightVector, dilate, fit_loglog_slope,
+from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
                      iter_weighted_exponents, ow_scaling_test, ow_violations,
                      weighted_degree)
 from .groups import (StructureConstants, group_product,
@@ -39,20 +39,18 @@ def _witness(k, exp, coef):
     return "%s in component %d" % (monomial_str(exp, coef), k + 1)
 
 
-def _push_through(frame, change, max_weight):
+def _push_through(frame, change):
     origin = (Fraction(0),) * frame.weights.n
     if change.apply(frame.base_point) != origin:
         raise ValueError("change does not map the frame's base point to the "
                          "origin; center the chart first")
     exact = change.is_exactly_invertible
-    bound = None
-    if not exact:
-        # A weight-W truncated inverse is exact below weight W+1, and every
-        # substitution error then carries weight >= W+1 into the pushed
-        # coefficients.  The verdicts only read coefficient monomials of
-        # weighted degree <= w_k <= r (parts of homogeneous degree <= 0),
-        # and no route brackets truncated fields, so r + 2 leaves margin.
-        bound = max_weight if max_weight is not None else frame.weights.r + 2
+    # A weight-W truncated inverse is exact below weight W+1, and every
+    # substitution error then carries weight >= W+1 into the pushed
+    # coefficients.  The verdicts only read coefficient monomials of
+    # weighted degree <= w_k <= r (parts of homogeneous degree <= 0),
+    # and no route brackets truncated fields, so r + 2 leaves margin.
+    bound = None if exact else frame.weights.r + 2
     return transform_frame(frame, change, bound), exact
 
 
@@ -105,7 +103,7 @@ def _privileged_inspection(pushed, exact):
                               {"truncated": not exact}), models
 
 
-def check_privileged(frame, change, max_weight=None):
+def check_privileged(frame, change):
     """Are the coordinates u = change(x) privileged for the frame?
 
     Criterion: the pushed fields are adapted at 0 and each has lowest
@@ -113,7 +111,7 @@ def check_privileged(frame, change, max_weight=None):
     the verdict is cross-checked against the derivation orders of the
     coordinate functions (which must then equal the weights).
     """
-    pushed, exact = _push_through(frame, change, max_weight)
+    pushed, exact = _push_through(frame, change)
     report, _ = _privileged_inspection(pushed, exact)
     return report
 
@@ -138,7 +136,7 @@ def _tangent_constants_from_models(models, weights):
     return constants
 
 
-def check_carnot(frame, change, max_weight=None, eps=None):
+def check_carnot(frame, change, eps=None):
     """Are the coordinates u = change(x) Carnot coordinates for the frame?
 
     Route A: the chart is privileged and the degree -w_j parts of the
@@ -152,7 +150,7 @@ def check_carnot(frame, change, max_weight=None, eps=None):
     verdicts must agree; witnesses come from both routes.
     """
     wv = frame.weights
-    pushed, exact = _push_through(frame, change, max_weight)
+    pushed, exact = _push_through(frame, change)
     priv, models = _privileged_inspection(pushed, exact)
     witnesses = list(priv.witnesses)
     constants = None
@@ -309,27 +307,6 @@ def random_osculation_directions(weights, count, rng):
     return [(one_point(), one_point()) for _ in range(count)]
 
 
-class OsculationTrack:
-    """Decay record of one residual family along one direction."""
-
-    def __init__(self, label, ts, values, exact, skipped):
-        self.label = label
-        self.ts = ts
-        self.values = values
-        self.exact = exact
-        self.skipped = skipped
-        nonzero = [(t, v) for t, v in zip(ts, values) if v > 0.0]
-        self.slope = (fit_loglog_slope([t for t, _ in nonzero],
-                                       [v for _, v in nonzero])
-                      if len(nonzero) >= 2 else None)
-
-    @property
-    def passed(self):
-        if self.exact:
-            return bool(self.ts)
-        return self.slope is not None and self.slope >= 0.9
-
-
 class OsculationEntry:
     def __init__(self, direction, r_track, rt_track):
         self.direction = direction
@@ -353,15 +330,15 @@ class OsculationReport:
 
 
 def osculation_report(frame, n_directions=8, directions=None, rng=None,
-                      t_grid=None):
+                      t_grid=DEFAULT_T_GRID):
     """Does the tangent group osculate the frame at the base point?
 
     Work in the frame's own Carnot coordinates; for each direction (x0, y0)
     and scale t, compare the chart at y = delta_t y0 against the group
     translation: R = eps_y(delta_t x0) - (-y) . x  and the mirror residual
     Rt = eps_y^{-1}(delta_t x0) - y . x.  After rescaling by delta_{1/t}
-    both must either vanish identically or decay with log-log slope >= 0.9.
-    Scales where the frame matrix is singular at y are reported, not
+    both must either vanish identically or decay like t (a DecayTrack with
+    m = 1).  Scales where the frame matrix is singular at y are reported, not
     interpolated over.
     """
     wv = frame.weights
@@ -371,8 +348,7 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
             raise ValueError("provide rng (or a seed-derived Random) or "
                              "explicit directions")
         directions = random_osculation_directions(wv, n_directions, rng)
-    grid = list(t_grid) if t_grid is not None else [Fraction(1, 2 ** k)
-                                                    for k in range(1, 11)]
+    grid = tuple(t_grid)
     eps0 = epsilon(frame)
     work = transform_frame(frame, eps0.change)
     constants = eps0.constants
@@ -403,9 +379,9 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
             rt_exact = rt_exact and all(c == 0 for c in rt)
         entries.append(OsculationEntry(
             (x0, y0),
-            OsculationTrack("chart vs translation", ts, r_vals, r_exact, skipped),
-            OsculationTrack("inverse chart vs translation", ts, rt_vals,
-                            rt_exact, skipped)))
+            DecayTrack("chart vs translation", 1, ts, r_vals, r_exact, skipped),
+            DecayTrack("inverse chart vs translation", 1, ts, rt_vals,
+                       rt_exact, skipped)))
     return OsculationReport(constants, grid, entries)
 
 
@@ -415,7 +391,8 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
 
 
 def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
-                         n_directions=4, rng=None, step=1e-3, t_grid=None):
+                         n_directions=4, rng=None, step=1e-3,
+                         t_grid=DEFAULT_T_GRID):
     """Scaling classification of an RK4-sampled canonical chart.
 
     The residual g(xi) = eps(F(xi)) - xi is measured directly against the
@@ -437,8 +414,7 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
         u = eps.apply(tuple(Fraction(v) for v in x))
         return tuple(float(a) - float(b) for a, b in zip(u, xi))
 
-    grid = t_grid if t_grid is not None else DEFAULT_T_GRID[:10]
-    return ow_scaling_test(g, m, wv.weights, wv.weights, directions, grid)
+    return ow_scaling_test(g, m, wv.weights, wv.weights, directions, t_grid)
 
 
 def group_translation_identity(constants, base_point, sample_points):

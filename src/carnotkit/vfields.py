@@ -5,7 +5,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
-from .poly import PolyMap, RationalPoly, monomial_str
+from .poly import PolyMap, RationalPoly
 
 
 class DegenerateFrameError(ValueError):
@@ -342,8 +342,3 @@ def function_order(f, frame, n_max=None):
             if derived(seq).evaluate(a) != 0:
                 return target
     return None
-
-
-def format_field_monomial(k, exp, coef):
-    """Witness text for a coefficient monomial sitting on d/dx_k."""
-    return "%s d%d" % (monomial_str(exp, coef), k + 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carnotkit.graded import (
-    DEFAULT_T_GRID, WeightVector, dilate, fit_loglog_slope,
+    DEFAULT_T_GRID, DecayTrack, WeightVector, dilate, fit_loglog_slope,
     iter_weighted_exponents, multi_factorial, ow_class_poly,
     ow_scaling_test, ow_violations, pseudo_norm, weighted_degree,
 )
@@ -20,7 +20,6 @@ def test_weight_vector_basics():
     assert list(wv) == [1, 1, 2, 3]
     assert wv[2] == 2
     assert wv == (1, 1, 2, 3)
-    assert wv.product_weights() == (1, 1, 2, 3, 1, 1, 2, 3)
 
 
 @pytest.mark.parametrize("bad", [(), (0, 1), (-1,), (2, 1)])
@@ -115,7 +114,7 @@ def test_ow_scaling_test_exact_and_slope_paths():
     # exact path: the zero map passes with exact=True entries
     zero = lambda x: (0.0, 0.0, 0.0)
     rep = ow_scaling_test(zero, 1, ws, ws, [(1.0, 1.0, 1.0)])
-    assert rep.passed and all(e["exact"] for e in rep.entries)
+    assert rep.passed and all(e.exact for e in rep.entries)
     # slope path: a genuine O_w(+1) residual map passes with slope >= m
     def f(x):
         return (0.0, 0.0, float(x[0]) ** 3)
@@ -126,3 +125,25 @@ def test_ow_scaling_test_exact_and_slope_paths():
     ident = lambda x: tuple(float(v) for v in x)
     rep = ow_scaling_test(ident, 1, ws, ws, [(1.0, 1.0, 1.0)])
     assert not rep.passed
+
+
+def test_ow_scaling_test_needs_samples_and_directions():
+    zero = lambda x: (0.0, 0.0, 0.0)
+    ws = (1, 1, 2)
+    assert not ow_scaling_test(zero, 1, ws, ws, [(1.0, 1.0, 1.0)], t_grid=()).passed
+    assert not ow_scaling_test(zero, 1, ws, ws, []).passed
+
+
+_TS = [0.5 ** k for k in range(1, 11)]
+
+
+@pytest.mark.parametrize("ts, values, exact, m, passed", [
+    (_TS, [0.0] * 10, True, 1, True),        # vanishes at every sampled scale
+    ([], [], True, 1, False),                # nothing sampled
+    ([0.5], [0.25], False, 1, False),        # one nonzero sample fits no slope
+    (_TS, [3.0 * t for t in _TS], False, 1, True),
+    (_TS, [3.0 * t for t in _TS], False, 2, False),
+])
+def test_decay_track_rule(ts, values, exact, m, passed):
+    track = DecayTrack("r", m, ts, values, exact)
+    assert track.passed is passed

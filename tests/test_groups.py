@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from carnotkit.graded import WeightVector, dilate
 from carnotkit.poly import RationalPoly
 from carnotkit.groups import (
-    StructureConstants, catalog, catalog_names, dynkin_product, dynkin_words,
-    group_frame, group_inverse, group_product, left_invariant_fields,
+    StructureConstants, catalog, catalog_names, dynkin_product, dynkin_symbolic,
+    dynkin_words, group_frame, group_inverse, group_product, left_invariant_fields,
     structure_constants_at, validate_algebra,
 )
 
@@ -115,6 +115,23 @@ def test_left_invariant_fields_cache_survives_caller_mutation():
         pass
     assert len(left_invariant_fields(sc)) == 3
     assert len(group_frame(sc).fields) == 3
+
+
+def test_left_invariant_coefficients_survive_caller_mutation():
+    sc = StructureConstants((1, 1, 2), {(0, 1, 2): Fraction(5, 3)})
+    before = dict(left_invariant_fields(sc)[0].coefficients[2].terms)
+    left_invariant_fields(sc)[0].coefficients[2].terms[(0, 0, 0)] = Fraction(5)
+    assert left_invariant_fields(sc)[0].coefficients[2].terms == before
+    assert group_frame(sc).fields[0].coefficients[2].terms == before
+
+
+def test_symbolic_law_survives_caller_mutation():
+    sc = StructureConstants((1, 1, 2), {(0, 1, 2): Fraction(4, 3)})
+    before = [dict(c.terms) for c in dynkin_symbolic(sc).components]
+    law = dynkin_symbolic(sc)
+    law.components.append(law.components[0])
+    law.components[0].terms[(0,) * 6] = Fraction(5)
+    assert [dict(c.terms) for c in dynkin_symbolic(sc).components] == before
 
 
 def test_dynkin_words_are_merged_by_letters():

@@ -257,3 +257,10 @@ def test_linear_matrix_is_jacobian_at_origin(rows):
     lin = m.linear_matrix()
     assert lin == m.jacobian_at((Fraction(0),) * n)
     assert all(isinstance(c, Fraction) for row in lin for c in row)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(small_polys(n), fractions()), min_size=1, max_size=4)))
+def test_constant_part_is_value_at_origin(rows):
+    m = PolyMap([p + c for p, c in rows])
+    assert m.constant_part() == m.evaluate((Fraction(0),) * m.n_in)

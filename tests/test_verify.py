@@ -216,6 +216,13 @@ def test_numeric_report_fails_on_second_kind(h3_frame):
     assert report0.passed
 
 
+def test_numeric_report_without_samples_fails(h3_frame):
+    # a second-kind chart must not pass as Carnot on an empty scale grid
+    report = numeric_chart_report(h3_frame, "second", m=1,
+                                  directions=[(1, 1, 1)], t_grid=())
+    assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # Group translation identity.
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from carnotkit.groups import catalog, left_invariant_fields
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.vfields import (
     Frame, PolyVectorField, bracket, expand, field_weight,
-    format_field_monomial, function_order, model_field, pushforward, rescale,
+    function_order, model_field, pushforward, rescale,
 )
 
 from conftest import fractions, points, small_polys
@@ -224,7 +224,3 @@ def test_function_order_constants_and_cutoff(h3_frame):
     x3 = RationalPoly.variable(3, 2)
     assert function_order(x3 * x3, h3_frame, n_max=4) is None
     assert function_order(x3 * x3, h3_frame, n_max=5) == 4
-
-
-def test_format_field_monomial():
-    assert format_field_monomial(2, (1, 1, 0), Fraction(1, 2)) == "x1*x2/2 d3"
