@@ -172,10 +172,7 @@ def cmd_linearize(args):
 
 def cmd_psi(args):
     frame = _as_frame(*_read_source(args.input), base=args.base)
-    affine, adapted = linearize(frame)
-    change = CoordinateChange(affine.matrix, affine.offset, frame.weights,
-                              psi_map(adapted))
-    _emit(io.change_document(change))
+    _emit(io.change_document(_resolve_change("psi", frame)))
     return 0
 
 

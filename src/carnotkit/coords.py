@@ -10,6 +10,7 @@ integrator backs the numeric variants.
 
 from fractions import Fraction
 from functools import cached_property
+import math
 import random
 
 import numpy as np
@@ -531,57 +532,50 @@ def canonical_second_kind(frame, mode="exact", **numeric_options):
 # ---------------------------------------------------------------------------
 
 
-def _field_float_evaluator(field):
-    n = field.n
-    entries = [(k, exp, float(c))
-               for k, p in enumerate(field.coefficients)
-               for exp, c in p.terms.items()]
-    if not entries:
-        return lambda x: np.zeros(n)
-    idx = np.array([k for k, _, _ in entries])
-    exps = np.array([exp for _, exp, _ in entries], dtype=float)
-    coefs = np.array([c for _, _, c in entries])
-
-    def ev(x):
-        vals = coefs * np.prod(x[None, :] ** exps, axis=1)
-        out = np.zeros(n)
-        np.add.at(out, idx, vals)
-        return out
-
-    return ev
+def _monomials(x, exps):
+    """x^E: the product of x ** e over each row e of the exponent matrix
+    E, for a point x or along the last axis of a stack of points."""
+    return np.prod(x[..., None, :] ** exps, axis=-1)
 
 
-def _frame_float_evaluator(fields):
-    """x -> B(x) as a float matrix (row j = coefficients of field j)."""
-    evs = [_field_float_evaluator(f) for f in fields]
+def _float_frame(fields):
+    """(E, C) with B(x) = C . x^E in floats: E is the (T, n) matrix of
+    every exponent in the fields and C the (m, n, T) tensor of their
+    coefficients, so field j at x is C[j] @ _monomials(x, E)."""
+    n = fields[0].n
+    exps = sorted({exp for f in fields for p in f.coefficients for exp in p.terms})
+    column = {exp: t for t, exp in enumerate(exps)}
+    coeffs = np.zeros((len(fields), n, len(exps)))
+    for j, f in enumerate(fields):
+        for k, p in enumerate(f.coefficients):
+            for exp, c in p.terms.items():
+                coeffs[j, k, column[exp]] = float(c)
+    return np.array(exps, dtype=float).reshape(len(exps), n), coeffs
 
-    def ev(x):
-        return np.stack([e(x) for e in evs])
 
-    return ev
-
-
-def _rk4(deriv, y0, t_total, step):
-    x = np.array([float(v) for v in y0], dtype=float)
-    remaining = float(t_total)
-    if remaining == 0.0:
-        return x
-    sign = 1.0 if remaining > 0 else -1.0
-    remaining = abs(remaining)
-    while remaining > 1e-15:
-        h = sign * min(float(step), remaining)
-        k1 = deriv(x)
-        k2 = deriv(x + 0.5 * h * k1)
-        k3 = deriv(x + 0.5 * h * k2)
-        k4 = deriv(x + h * k3)
+def _rk4(coeffs, exps, y0, t_total, step):
+    """Classic RK4 for x' = coeffs @ x^E from y0 over time t_total, in
+    ceil(|t_total| / step) equal steps."""
+    step = float(step)
+    if not 0 < step < math.inf:
+        raise ValueError("RK4 step must be positive and finite, got %r" % step)
+    t_total = float(t_total)
+    count = math.ceil(abs(t_total) / step)
+    h = t_total / max(count, 1)
+    x = np.array([float(v) for v in y0])
+    for _ in range(count):
+        k1 = coeffs @ _monomials(x, exps)
+        k2 = coeffs @ _monomials(x + 0.5 * h * k1, exps)
+        k3 = coeffs @ _monomials(x + 0.5 * h * k2, exps)
+        k4 = coeffs @ _monomials(x + h * k3, exps)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        remaining -= abs(h)
     return x
 
 
 def numeric_flow(field, y, t_total, step=1e-3):
     """Classic fixed-step RK4 endpoint of x' = X(x), x(0) = y."""
-    return tuple(float(v) for v in _rk4(_field_float_evaluator(field), y, t_total, step))
+    exps, coeffs = _float_frame([field])
+    return tuple(float(v) for v in _rk4(coeffs[0], exps, y, t_total, step))
 
 
 def combined_field(fields, xi):
@@ -622,30 +616,33 @@ class NumericChart:
         n = wv.n
         if degree is None:
             degree = wv.r + 1
+        if degree < 1:
+            raise ValueError("fit degree must be at least 1, got %r" % degree)
+        box = float(box)
+        if not 0 < box < math.inf:
+            raise ValueError("sample box must be positive and finite, got %r" % box)
         if rng is None:
             rng = random.Random(0xC0FFEE)
         basis = sorted(iter_weighted_exponents((1,) * n, degree, "le"),
                        key=term_sort_key)
         count = samples if samples is not None else 3 * len(basis)
+        if count < len(basis):
+            raise ValueError("%d samples cannot fit %d basis monomials"
+                             % (count, len(basis)))
         sampler = ChartSampler(frame, kind, step)
-        rows, targets = [], []
-        for _ in range(count):
-            xi = np.array([rng.uniform(-float(box), float(box)) for _ in range(n)])
-            u = sampler.forward(xi) - sampler.base
-            rows.append([np.prod(u ** np.array(exp, dtype=float)) for exp in basis])
-            targets.append(xi)
-        a_mat = np.array(rows)
-        y_mat = np.array(targets)
-        coeffs, _, _, _ = np.linalg.lstsq(a_mat, y_mat, rcond=None)
+        xis = np.array([[rng.uniform(-box, box) for _ in range(n)]
+                        for _ in range(count)])
+        us = np.array([sampler.forward(xi) for xi in xis]) - sampler.base
+        a_mat = _monomials(us, np.array(basis, dtype=float))
+        coeffs, _, _, _ = np.linalg.lstsq(a_mat, xis, rcond=None)
         coeffs[np.abs(coeffs) < 1e-8] = 0.0
-        return cls(kind, wv, tuple(frame.base_point), degree, float(box),
+        return cls(kind, wv, tuple(frame.base_point), degree, box,
                    basis, coeffs, float(step), count)
 
     def evaluate(self, x):
         u = np.array([float(v) for v in x]) - np.array(
             [float(v) for v in self.base_point])
-        row = np.array([np.prod(u ** np.array(exp, dtype=float))
-                        for exp in self.basis])
+        row = _monomials(u, np.array(self.basis, dtype=float))
         return tuple(float(v) for v in row @ self.coeffs)
 
 
@@ -657,18 +654,16 @@ class ChartSampler:
         self.kind = kind
         self.step = float(step)
         self.base = np.array([float(v) for v in frame.base_point])
-        self._frame_ev = _frame_float_evaluator(frame.fields)
-        self._field_evs = [_field_float_evaluator(f) for f in frame.fields]
+        self._exps, self._coeffs = _float_frame(frame.fields)
 
     def forward(self, xi):
         """The endpoint x, as a float array, for a float array xi."""
         if self.kind == "first":
-            return _rk4(lambda p: self._frame_ev(p).T @ xi, self.base, 1.0,
-                        self.step)
-        x = self.base.copy()
+            return _rk4(np.tensordot(xi, self._coeffs, axes=1), self._exps,
+                        self.base, 1.0, self.step)
+        x = self.base
         for j in reversed(range(len(xi))):
-            if xi[j]:
-                x = _rk4(self._field_evs[j], x, float(xi[j]), self.step)
+            x = _rk4(self._coeffs[j], self._exps, x, xi[j], self.step)
         return x
 
     def __call__(self, xi):

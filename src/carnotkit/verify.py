@@ -238,10 +238,6 @@ def random_raising_perturbation(weights, rng, max_extra=2, density=0.4):
     return PolyMap(comps)
 
 
-def _add_maps(a, b):
-    return PolyMap([p + q for p, q in zip(a.components, b.components)])
-
-
 def generate_privileged_variants(change, count, rng):
     """Charts that stay privileged: compose the polynomial factor with
     id + (homogeneous tail) + (weight-raising perturbation)."""
@@ -250,7 +246,7 @@ def generate_privileged_variants(change, count, rng):
     for _ in range(count):
         hom = random_homogeneous_triangular(wv, rng)
         pert = random_raising_perturbation(wv, rng)
-        outer = _add_maps(hom, pert)
+        outer = hom + pert
         out.append(change.compose_tail(outer))
     return out
 
@@ -261,7 +257,7 @@ def generate_carnot_variants(change, count, rng):
     out = []
     for _ in range(count):
         pert = random_raising_perturbation(wv, rng)
-        outer = _add_maps(PolyMap.identity(wv.n), pert)
+        outer = PolyMap.identity(wv.n) + pert
         out.append(change.compose_tail(outer))
     return out
 

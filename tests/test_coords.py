@@ -411,3 +411,73 @@ def test_chart_sampler_matches_exact_forward(h3_frame):
         got = sampler(t)
         want = forward.evaluate(t)
         assert max(abs(g - float(w)) for g, w in zip(got, want)) < 1e-8
+
+
+def test_numeric_flow_of_zero_field_stays_put():
+    y = (0.5, -0.25, 2.0)
+    assert numeric_flow(PolyVectorField.zero(3), y, 1.0) == y
+
+
+def test_rk4_takes_equal_steps():
+    """x' = x from 1: one RK4 step of h multiplies by the degree-4 Taylor
+    polynomial of e^h, so the endpoint shows the step schedule."""
+    field = PolyVectorField([RationalPoly.variable(1, 0)])
+
+    def taylor(h):
+        return 1 + h + h ** 2 / 2 + h ** 3 / 6 + h ** 4 / 24
+
+    (one_step,) = numeric_flow(field, (1,), 0.5, step=1.0)
+    assert abs(one_step - taylor(0.5)) < 1e-15
+    (two_steps,) = numeric_flow(field, (1,), 0.5, step=0.3)
+    assert abs(two_steps - taylor(0.25) ** 2) < 1e-15
+    (backwards,) = numeric_flow(field, (1,), -0.5, step=0.3)
+    assert abs(backwards - taylor(-0.25) ** 2) < 1e-15
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_rk4_rejects_bad_step(h3_frame, step):
+    with pytest.raises(ValueError, match="step"):
+        numeric_flow(h3_frame.fields[0], (0, 0, 0), 1.0, step=step)
+    with pytest.raises(ValueError, match="step"):
+        numeric_flow(h3_frame.fields[0], (0, 0, 0), 0.0, step=step)
+    for kind in ("first", "second"):
+        with pytest.raises(ValueError, match="step"):
+            ChartSampler(h3_frame, kind, step)((0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("options, match", [
+    ({"samples": 0}, "samples"),
+    ({"samples": 1}, "samples"),
+    ({"samples": 19}, "samples"),
+    ({"degree": 0}, "degree"),
+    ({"degree": -1}, "degree"),
+    ({"box": 0}, "box"),
+    ({"box": -0.25}, "box"),
+    ({"box": float("nan")}, "box"),
+    ({"box": float("inf")}, "box"),
+])
+def test_numeric_chart_rejects_bad_options(h3_frame, options, match):
+    with pytest.raises(ValueError, match=match):
+        NumericChart.build(h3_frame, "first", **options)
+
+
+def test_numeric_chart_accepts_one_sample_per_monomial(h3_frame):
+    chart = NumericChart.build(h3_frame, "first", samples=20, step=1e-2)
+    assert len(chart.basis) == chart.samples == 20
+    pt = (Fraction(1, 10),) * 3
+    want = canonical_first_kind(h3_frame).change.apply(pt)
+    assert max(abs(g - float(w)) for g, w in zip(chart.evaluate(pt), want)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["engel_4", "step3_filiform_5"])
+@pytest.mark.parametrize("kind, build", [("first", canonical_first_kind),
+                                         ("second", canonical_second_kind)])
+def test_chart_sampler_matches_exact_forward_step3(name, kind, build, rng):
+    frame = catalog(name).frame
+    forward = build(frame).forward
+    sampler = ChartSampler(frame, kind)
+    for _ in range(3):
+        xi = tuple(Fraction(rng.randint(-4, 4), 8) for _ in range(frame.n))
+        got = sampler(xi)
+        want = forward.evaluate(xi)
+        assert max(abs(g - float(w)) for g, w in zip(got, want)) < 1e-8

@@ -316,3 +316,18 @@ def test_cli_schema_error_is_exit_2(capsys, tmp_path):
     path.write_text('{"schema": "carnot-kit/1", "kind": "sandwich"}')
     assert cli.main(["epsilon", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+def test_cli_numeric_rejects_bad_step(capsys, step):
+    assert cli.main(["canonical1", "heisenberg_3", "--numeric",
+                     "--step=" + step, "--seed", "1"]) == 2
+    assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [["--box", "0", "--samples", "25"],
+                                     ["--samples", "1"], ["--degree", "0"]])
+def test_cli_numeric_rejects_bad_fit(capsys, options):
+    assert cli.main(["canonical2", "heisenberg_3", "--numeric", "--seed", "1"]
+                    + options) == 2
+    assert capsys.readouterr().out == ""
