@@ -10,6 +10,7 @@ integrator backs the numeric variants.
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 import math
 import random
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
+from .groups import model_structure_constants
 from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
                    invert_weight_triangular, term_sort_key, weight_shape)
 from .vfields import Frame, PolyVectorField, expand, model_field, pushforward
@@ -36,7 +38,7 @@ class CoordinateChange:
     """
 
     def __init__(self, matrix, offset, weights, poly=None):
-        self.weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        self.weights = WeightVector(weights)
         n = self.weights.n
         self.matrix = linalg.as_matrix(matrix)
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
@@ -70,7 +72,7 @@ class CoordinateChange:
 
     @classmethod
     def identity(cls, weights):
-        wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        wv = WeightVector(weights)
         return cls(linalg.identity_matrix(wv.n), (0,) * wv.n, wv)
 
     @cached_property
@@ -163,16 +165,6 @@ def transform_frame(frame, change, max_weight=None):
     return Frame(fields, frame.weights, new_base, check=False)
 
 
-def _apply_multi_derivation(fields, alpha, f):
-    """X^alpha f with X^alpha = X_1^{a_1} . ... . X_n^{a_n}; the highest
-    index acts first."""
-    g = f
-    for j in reversed(range(len(alpha))):
-        for _ in range(alpha[j]):
-            g = fields[j].apply(g)
-    return g
-
-
 def psi_map(frame):
     """Triangular correction turning a linearly adapted frame at 0 into
     privileged coordinates.
@@ -180,12 +172,14 @@ def psi_map(frame):
     Component k is x_k + sum a_{k,alpha} x^alpha over |alpha| >= 2 and
     <alpha> < w_k; the coefficients are fixed layer by layer (increasing
     |alpha|) by requiring that all composed derivations X^alpha of weight
-    below w_k kill the new coordinate at the origin:
+    below w_k kill the new coordinate at the origin.  With c the component
+    built from the lower layers,
 
-        alpha! a_{k,alpha} = -X^alpha(x_k)|_0
-                             - sum_{2 <= |beta| < |alpha|} a_{k,beta} X^alpha(x^beta)|_0.
+        alpha! a_{k,alpha} = -X^alpha(c)|_0,
 
-    For step-2 weights there is nothing to correct and psi is the identity.
+    since a monomial x^beta of the same layer contributes alpha! a_alpha to
+    X^alpha(x^beta)|_0 when beta = alpha and nothing otherwise.  For step-2
+    weights there is nothing to correct and psi is the identity.
     """
     ws = frame.weights.weights
     n = frame.weights.n
@@ -199,25 +193,21 @@ def psi_map(frame):
                              "(field %d)" % (j + 1))
     comps = []
     for k in range(n):
-        alphas = [alpha
-                  for d in range(2, ws[k])
-                  for alpha in iter_weighted_exponents(ws, d, "eq")
-                  if sum(alpha) >= 2]
-        alphas.sort(key=lambda a: (sum(a), a))
-        found = {}
+        alphas = sorted((alpha for d in range(2, ws[k])
+                         for alpha in iter_weighted_exponents(ws, d, "eq")
+                         if sum(alpha) >= 2), key=lambda a: (sum(a), a))
         comp = RationalPoly.variable(n, k)
-        for alpha in alphas:
-            value = -_apply_multi_derivation(
-                frame.fields, alpha, RationalPoly.variable(n, k)).evaluate(origin)
-            for beta, coef in found.items():
-                if sum(beta) < sum(alpha):
-                    mono = RationalPoly.monomial(n, beta)
-                    value -= coef * _apply_multi_derivation(
-                        frame.fields, alpha, mono).evaluate(origin)
-            coef = value / multi_factorial(alpha)
-            if coef:
-                found[alpha] = coef
-                comp = comp + RationalPoly.monomial(n, alpha, coef)
+        for _, layer in groupby(alphas, key=sum):
+            terms = {}
+            for alpha in layer:
+                g = comp  # X^alpha(c) = X_1^{a_1} ... X_n^{a_n} c, X_n first
+                for j in reversed(range(n)):
+                    for _ in range(alpha[j]):
+                        g = frame.fields[j].apply(g)
+                value = g.evaluate(origin)
+                if value:
+                    terms[alpha] = -value / multi_factorial(alpha)
+            comp = comp + RationalPoly(n, terms)
         comps.append(comp)
     return TriangularMap(comps, frame.weights)
 
@@ -291,7 +281,7 @@ def exact_flow(fields, weights):
     right-hand side only involves already-solved components, so every
     integral is a polynomial in t.
     """
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
     ws = wv.weights
     n = wv.n
     _check_canonical_shape(fields, ws)
@@ -316,7 +306,7 @@ def exp_map(fields, weights):
     """Time-one flow from the origin as a map in xi: the exponential of the
     basis.  Requires a homogeneous model basis; the result is then a
     weight-homogeneous triangular map with identity differential."""
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
     n = wv.n
     flow = exact_flow(fields, wv)
     comps = flow.map_in_xi((Fraction(0),) * n, 1).components
@@ -358,11 +348,12 @@ class EpsilonResult:
 
     ``change`` is the chart m(x) = eps_hat((B^t)^{-1}(x - a)); the pieces
     (affine adaptation, psi, model fields, phi = log of their exponential)
-    are kept for inspection and reuse.
+    are kept for inspection and reuse.  The frame in Carnot coordinates is
+    pushed through phi on first read.
     """
 
     def __init__(self, change, affine, psi, model_fields, exp_model, phi,
-                 constants, adapted_frame, privileged_frame, carnot_frame):
+                 constants, adapted_frame, privileged_frame):
         self.change = change
         self.affine = affine
         self.psi = psi
@@ -372,7 +363,12 @@ class EpsilonResult:
         self.constants = constants
         self.adapted_frame = adapted_frame
         self.privileged_frame = privileged_frame
-        self.carnot_frame = carnot_frame
+
+    @cached_property
+    def carnot_frame(self):
+        privileged = self.privileged_frame
+        fields = [pushforward(x, self.phi, self.exp_model) for x in privileged.fields]
+        return Frame(fields, privileged.weights, privileged.base_point, check=False)
 
     def apply(self, point):
         return self.change.apply(point)
@@ -387,10 +383,9 @@ def epsilon(frame):
     Pipeline: affine adaptation, psi correction, model fields of the
     privileged frame, phi = log of their exponential; the chart is
     phi . psi . T_a and its polynomial factor is unit-triangular, so the
-    inverse is exact: x = a + B(a)^t (triangular map).
+    inverse is exact: x = a + B(a)^t (triangular map).  The tangent
+    constants are the brackets of the model fields at the origin.
     """
-    from .groups import structure_constants_at
-
     affine, adapted = linearize(frame)
     psi = psi_map(adapted)
     psi_inv = invert_triangular(psi)
@@ -400,15 +395,11 @@ def epsilon(frame):
               for j, x in enumerate(privileged_fields)]
     exp_model = exp_map(models, wv)
     phi = invert_triangular(exp_model)
-    eps_hat = phi.compose(psi)
-    change = CoordinateChange(affine.matrix, affine.offset, wv, eps_hat)
-    carnot_fields = [pushforward(x, phi, exp_model) for x in privileged_fields]
-    origin = (0,) * wv.n
-    privileged_frame = Frame(privileged_fields, wv, origin, check=False)
-    carnot_frame = Frame(carnot_fields, wv, origin, check=False)
-    constants, _ = structure_constants_at(privileged_frame)
+    change = CoordinateChange(affine.matrix, affine.offset, wv, phi.compose(psi))
+    privileged_frame = Frame(privileged_fields, wv, (0,) * wv.n, check=False)
     return EpsilonResult(change, affine, psi, models, exp_model, phi,
-                         constants, adapted, privileged_frame, carnot_frame)
+                         model_structure_constants(models, wv), adapted,
+                         privileged_frame)
 
 
 def convert_nilpotent_approx(models, targets, weights):
@@ -416,10 +407,11 @@ def convert_nilpotent_approx(models, targets, weights):
     onto another with the same constants: phi = exp_targets . exp_models^{-1}.
 
     Both bases must be adapted at 0, homogeneous of degree -w_j, and have
-    identical brackets at the origin; the returned triangular map pushes
+    identical brackets at the origin that form a graded Lie algebra
+    (ValueError otherwise); the returned triangular map pushes
     models[j] exactly onto targets[j] (verified internally).
     """
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
     ws = wv.weights
     n = wv.n
     origin = (Fraction(0),) * n
@@ -435,14 +427,16 @@ def convert_nilpotent_approx(models, targets, weights):
             if set(parts) != {-ws[j]}:
                 raise ValueError("%s basis field %d is not homogeneous of "
                                  "degree -w_%d" % (label, j + 1, j + 1))
-    from .vfields import bracket as vf_bracket
-    for i in range(n):
-        for j in range(i + 1, n):
-            bm = vf_bracket(models[i], models[j]).evaluate(origin)
-            bt = vf_bracket(targets[i], targets[j]).evaluate(origin)
-            if bm != bt:
-                raise ValueError("bases have different structure constants "
-                                 "([X%d, X%d] differs at 0)" % (i + 1, j + 1))
+    try:
+        source = model_structure_constants(models, wv)
+        target = model_structure_constants(targets, wv)
+    except ArithmeticError as exc:
+        raise ValueError("basis brackets at 0 are not a model algebra: %s"
+                         % exc) from exc
+    if source != target:
+        (i, j, _), _ = min(set(source.table.items()) ^ set(target.table.items()))
+        raise ValueError("bases have different structure constants "
+                         "([X%d, X%d] differs at 0)" % (i + 1, j + 1))
     exp_x = exp_map(models, wv)
     exp_y = exp_map(targets, wv)
     phi = exp_y.compose(invert_triangular(exp_x))
@@ -560,6 +554,8 @@ def _rk4(coeffs, exps, y0, t_total, step):
     if not 0 < step < math.inf:
         raise ValueError("RK4 step must be positive and finite, got %r" % step)
     t_total = float(t_total)
+    if not math.isfinite(t_total):
+        raise ValueError("RK4 time must be finite, got %r" % t_total)
     count = math.ceil(abs(t_total) / step)
     h = t_total / max(count, 1)
     x = np.array([float(v) for v in y0])
@@ -651,6 +647,8 @@ class ChartSampler:
     chart builder and the residual tests."""
 
     def __init__(self, frame, kind, step=1e-3):
+        if kind not in ("first", "second"):
+            raise ValueError("chart kind must be 'first' or 'second', got %r" % (kind,))
         self.kind = kind
         self.step = float(step)
         self.base = np.array([float(v) for v in frame.base_point])

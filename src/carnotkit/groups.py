@@ -11,9 +11,9 @@ from functools import lru_cache
 import math
 import re
 
-from .graded import WeightVector, as_weights, weighted_degree
+from .graded import WeightVector
 from .poly import PolyMap, RationalPoly
-from .vfields import Frame, PolyVectorField, bracket
+from .vfields import Frame, PolyVectorField
 
 
 class StructureConstants:
@@ -25,7 +25,7 @@ class StructureConstants:
     """
 
     def __init__(self, weights, table):
-        self.weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        self.weights = WeightVector(weights)
         n = self.weights.n
         canonical = {}
         items = table.items() if isinstance(table, dict) else table
@@ -300,6 +300,18 @@ def group_frame(constants, base_point=None):
     return Frame(left_invariant_fields(constants), constants.weights, base, check=False)
 
 
+def _tangent_algebra(weights, table):
+    """StructureConstants of a tangent table; ArithmeticError when it is
+    not a graded Lie algebra, since the tables of H-frames always are."""
+    constants = StructureConstants(weights, table)
+    report = validate_algebra(constants)
+    if not report.ok:
+        raise ArithmeticError(
+            "tangent constants are not a graded Lie algebra: %s"
+            % "; ".join(report.failures[:3]))
+    return constants
+
+
 def structure_constants_at(frame, point=None):
     """Tangent-group constants of an H-frame at a point.
 
@@ -313,13 +325,21 @@ def structure_constants_at(frame, point=None):
     ws = frame.weights.weights
     graded = {key: c for key, c in table.items()
               if ws[key[0]] + ws[key[1]] == ws[key[2]]}
-    constants = StructureConstants(frame.weights, graded)
-    report = validate_algebra(constants)
-    if not report.ok:
-        raise ArithmeticError(
-            "tangent constants are not a graded Lie algebra: %s"
-            % "; ".join(report.failures[:3]))
-    return constants, table
+    return _tangent_algebra(frame.weights, graded), table
+
+
+def model_structure_constants(models, weights):
+    """Tangent-group constants of a model basis adapted at 0 (X_j(0) = e_j):
+    L_ij^k = d_i (X_j)_k(0) - d_j (X_i)_k(0) is the e_k component of
+    [X_i, X_j](0), read off the degree-one coefficients of the fields and
+    validated as in structure_constants_at."""
+    wv = WeightVector(weights)
+    n = wv.n
+    # d[j][k][i] = d_i (X_j)_k(0)
+    d = [PolyMap(x.coefficients).linear_matrix() for x in models]
+    table = {(i, j, k): d[j][k][i] - d[i][k][j]
+             for i in range(n) for j in range(i + 1, n) for k in range(n)}
+    return _tangent_algebra(wv, table)
 
 
 # ---------------------------------------------------------------------------

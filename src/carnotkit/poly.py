@@ -7,7 +7,7 @@ from 0 internally and printed as x1, ..., xn.
 
 from fractions import Fraction
 
-from .graded import as_weights, weighted_degree
+from .graded import WeightVector, as_weights, weighted_degree
 
 
 def _coef(c):
@@ -461,8 +461,7 @@ class TriangularMap(PolyMap):
 
     def __init__(self, components, weights):
         PolyMap.__init__(self, components)
-        from .graded import WeightVector
-        self.weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        self.weights = WeightVector(weights)
         _, ranks = weight_shape(self.components, self.weights.weights)
         for k, rank in enumerate(ranks):
             if rank:
@@ -473,8 +472,7 @@ class TriangularMap(PolyMap):
 
     @classmethod
     def identity_map(cls, weights):
-        from .graded import WeightVector
-        wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        wv = WeightVector(weights)
         return cls(PolyMap.identity(wv.n).components, wv)
 
     def compose(self, other, weights=None, bound=None):

@@ -11,10 +11,10 @@ from .coords import ChartSampler, epsilon, transform_frame
 from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
                      iter_weighted_exponents, ow_scaling_test, ow_violations,
                      weighted_degree)
-from .groups import (StructureConstants, group_product,
-                     left_invariant_fields, validate_algebra)
+from .groups import (group_product, left_invariant_fields,
+                     model_structure_constants)
 from .poly import PolyMap, RationalPoly, TriangularMap, monomial_str
-from .vfields import DegenerateFrameError, Frame, bracket as vf_bracket, expand
+from .vfields import DegenerateFrameError, Frame, expand
 
 
 class VerificationReport:
@@ -116,26 +116,6 @@ def check_privileged(frame, change):
     return report
 
 
-def _tangent_constants_from_models(models, weights):
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
-    n = wv.n
-    origin = (Fraction(0),) * n
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = vf_bracket(models[i], models[j]).evaluate(origin)
-            for k, c in enumerate(vec):
-                if c:
-                    table[(i, j, k)] = c
-    constants = StructureConstants(wv.weights, table)
-    report = validate_algebra(constants)
-    if not report.ok:
-        raise ArithmeticError(
-            "tangent structure constants fail grading/Jacobi: %s"
-            % "; ".join(report.failures[:3]))
-    return constants
-
-
 def check_carnot(frame, change, eps=None):
     """Are the coordinates u = change(x) Carnot coordinates for the frame?
 
@@ -155,7 +135,7 @@ def check_carnot(frame, change, eps=None):
     witnesses = list(priv.witnesses)
     constants = None
     if priv.ok:
-        constants = _tangent_constants_from_models(models, wv)
+        constants = model_structure_constants(models, wv)
         li = left_invariant_fields(constants)
         for j in range(wv.n):
             if models[j] != li[j]:
@@ -200,7 +180,7 @@ _COEF_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 def random_homogeneous_triangular(weights, rng, density=0.5):
     """Random weight-homogeneous unit-triangular map: component k is x_k
     plus terms of weighted degree exactly w_k with at least two factors."""
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
     ws = wv.weights
     n = wv.n
     comps = []
@@ -222,7 +202,7 @@ def random_raising_perturbation(weights, rng, max_extra=2, density=0.4):
     bare x_j with w_j > w_k raises the weight as a function but gives the
     map a nonzero differential at 0, and composing such a map onto a chart
     knocks the pushed frame off X_j(0) = e_j."""
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
     ws = wv.weights
     n = wv.n
     comps = []
@@ -289,7 +269,7 @@ def generate_adversarial_variants(change, count, rng):
 
 def random_osculation_directions(weights, count, rng):
     """Pairs (x0, y0) of rational points of pseudo-norm exactly one."""
-    wv = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+    wv = WeightVector(weights)
 
     def one_point():
         raw = [rng.randint(1, 9) for _ in range(wv.n)]
@@ -396,6 +376,7 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
     raise every weight by m (slope test as in ow_scaling_test).
     """
     wv = frame.weights
+    sampler = ChartSampler(frame, kind, step)
     if eps is None:
         eps = epsilon(frame)
     if directions is None:
@@ -403,7 +384,6 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
             raise ValueError("provide rng or explicit directions")
         directions = [x0 for x0, _ in
                       random_osculation_directions(wv, n_directions, rng)]
-    sampler = ChartSampler(frame, kind, step)
 
     def g(xi):
         x = sampler(xi)

@@ -213,7 +213,7 @@ class Frame:
 
     def __init__(self, fields, weights, base_point, check=True):
         self.fields = list(fields)
-        self.weights = weights if isinstance(weights, WeightVector) else WeightVector(weights)
+        self.weights = WeightVector(weights)
         n = self.weights.n
         if len(self.fields) != n or any(x.n != n for x in self.fields):
             raise ValueError("frame needs exactly n fields in n variables")

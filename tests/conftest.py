@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from carnotkit.graded import WeightVector
-from carnotkit.groups import StructureConstants, catalog, catalog_names
-from carnotkit.poly import RationalPoly
-from carnotkit.vfields import Frame, PolyVectorField
+from carnotkit.graded import WeightVector, iter_weighted_exponents
+from carnotkit.groups import (StructureConstants, catalog, catalog_names,
+                              group_frame)
+from carnotkit.poly import PolyMap, RationalPoly, invert_weight_triangular
+from carnotkit.vfields import Frame, PolyVectorField, pushforward
 
 settings.register_profile(
     "default",
@@ -114,6 +115,42 @@ def step2_adapted_frames():
         st.integers(min_value=1, max_value=2),
         st.lists(fractions(3, 2), min_size=8, max_size=16),
     ).map(build).filter(lambda fr: fr is not None)
+
+
+def filiform_constants(n):
+    """Model filiform algebra: [e_1, e_k] = e_(k+1), weights (1, 1, 2, ..., n-1)."""
+    return StructureConstants((1, 1) + tuple(range(2, n)),
+                              {(0, k, k + 1): 1 for k in range(1, n - 1)})
+
+
+@st.composite
+def filiform_frames(draw, sizes=(5, 6)):
+    """Model filiform frames of step n - 1 >= 4 at a random base point: the
+    group frame itself, or the group frame pushed through a random unipotent
+    map whose component k gains up to two monomials of weighted degree
+    2 .. w_k + 2 in variables of weight < w_k (so it inverts exactly and
+    the result is an H-frame that is no group frame)."""
+    n = draw(st.sampled_from(sizes))
+    constants = filiform_constants(n)
+    ws = constants.weights.weights
+    fields = group_frame(constants).fields
+    if draw(st.booleans()):
+        comps = []
+        for k in range(n):
+            comp = RationalPoly.variable(n, k)
+            cands = [e for d in range(2, ws[k] + 3)
+                     for e in iter_weighted_exponents(ws, d, "eq")
+                     if sum(e) >= 2 and all(not x or ws[j] < ws[k]
+                                            for j, x in enumerate(e))]
+            if cands:
+                for e in draw(st.lists(st.sampled_from(cands), max_size=2,
+                                       unique=True)):
+                    comp = comp + RationalPoly.monomial(n, e, draw(fractions(3, 3)))
+            comps.append(comp)
+        phi = PolyMap(comps)
+        phi_inv = invert_weight_triangular(phi, ws)
+        fields = [pushforward(x, phi, phi_inv) for x in fields]
+    return Frame(fields, WeightVector(ws), draw(points(n, 2, 3)))
 
 
 # ---------------------------------------------------------------------------

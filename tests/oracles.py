@@ -8,6 +8,7 @@ free of imports from carnotkit internals beyond the basic polynomial type.
 """
 
 from fractions import Fraction
+import math
 
 from carnotkit.poly import PolyMap, RationalPoly
 
@@ -198,6 +199,60 @@ def expected_log_quadratic(frame):
         if entry:
             out[k] = entry
     return out
+
+
+def pairwise_psi(frame):
+    """Components of the psi correction by the pairwise formula: component
+    k is x_k + sum a_alpha x^alpha over |alpha| >= 2 and <alpha> < w_k, with
+    the coefficients fixed in increasing |alpha| by
+
+        alpha! a_alpha = -X^alpha(x_k)|_0
+                         - sum_{2 <= |beta| < |alpha|} a_beta X^alpha(x^beta)|_0,
+
+    where X^alpha = X_1^{a_1} ... X_n^{a_n} (the highest index acts first)
+    and each X_j is applied from its coefficient list."""
+    ws = tuple(frame.weights)
+    n = len(ws)
+    coefficients = [field.coefficients for field in frame.fields]
+    origin = (Fraction(0),) * n
+
+    def derivation(j, f):
+        out = RationalPoly.zero(n)
+        for k, c in enumerate(coefficients[j]):
+            out = out + c * f.partial(k)
+        return out
+
+    def at_origin(alpha, f):
+        for j in reversed(range(n)):
+            for _ in range(alpha[j]):
+                f = derivation(j, f)
+        return f.evaluate(origin)
+
+    def exponents(j, budget):
+        if j == n:
+            yield ()
+            return
+        for e in range(budget // ws[j] + 1):
+            for rest in exponents(j + 1, budget - e * ws[j]):
+                yield (e,) + rest
+
+    comps = []
+    for k in range(n):
+        alphas = sorted((a for a in exponents(0, ws[k] - 1) if sum(a) >= 2),
+                        key=lambda a: (sum(a), a))
+        found = {}
+        comp = RationalPoly.variable(n, k)
+        for alpha in alphas:
+            value = -at_origin(alpha, RationalPoly.variable(n, k))
+            for beta, coef in found.items():
+                if sum(beta) < sum(alpha):
+                    value -= coef * at_origin(alpha, RationalPoly.monomial(n, beta))
+            coef = value / math.prod(math.factorial(e) for e in alpha)
+            if coef:
+                found[alpha] = coef
+                comp = comp + RationalPoly.monomial(n, alpha, coef)
+        comps.append(comp)
+    return PolyMap(comps)
 
 
 # ---------------------------------------------------------------------------

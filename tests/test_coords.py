@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 
 from carnotkit.graded import WeightVector
-from carnotkit.groups import catalog
+from carnotkit.groups import (catalog, model_structure_constants,
+                              structure_constants_at)
 from carnotkit.poly import (
     PolyMap, RationalPoly, TriangularMap, invert_triangular,
 )
-from carnotkit.vfields import Frame, PolyVectorField, pushforward
+from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
 from carnotkit.coords import (
     ChartSampler, CoordinateChange, NumericChart, canonical_first_kind,
     canonical_second_kind, combined_field, convert_nilpotent_approx, epsilon,
@@ -17,7 +18,8 @@ from carnotkit.coords import (
 )
 
 import oracles
-from conftest import points, step2_adapted_frames
+from conftest import (filiform_constants, filiform_frames, points,
+                      step2_adapted_frames)
 
 
 def _vars(n):
@@ -161,6 +163,47 @@ def test_psi_output_is_triangular():
     frame = catalog("perturbed_engel_4").frame
     _, adapted = linearize(frame)
     assert isinstance(psi_map(adapted), TriangularMap)
+
+
+@given(filiform_frames())
+def test_psi_matches_pairwise_formula_beyond_step_three(frame):
+    """Steps 4 and 5: psi equals the pairwise formula, and after
+    linearize + psi coordinate x_k has derivation order w_k."""
+    affine, adapted = linearize(frame)
+    psi = psi_map(adapted)
+    assert PolyMap(list(psi.components)) == oracles.pairwise_psi(adapted)
+    change = CoordinateChange(affine.matrix, affine.offset, frame.weights, psi)
+    pushed = transform_frame(frame, change)
+    ws = frame.weights.weights
+    for k in range(frame.n):
+        x_k = RationalPoly.variable(frame.n, k)
+        assert function_order(x_k, pushed, n_max=ws[k] + 1) == ws[k]
+
+
+# ---------------------------------------------------------------------------
+# Tangent constants of model bases.
+# ---------------------------------------------------------------------------
+
+def _assert_model_constants_agree(frame):
+    eps = epsilon(frame)
+    constants = model_structure_constants(eps.model_fields, frame.weights)
+    assert eps.constants == constants
+    assert structure_constants_at(eps.privileged_frame)[0] == constants
+    assert structure_constants_at(frame)[0] == constants
+    return constants
+
+
+def test_model_constants_match_frame_constants(frame_entry):
+    frame = frame_entry.frame
+    other = (Fraction(1, 2), Fraction(-1, 3), 2, 1, -1)[:frame.n]
+    for base in ((0,) * frame.n, other):
+        constants = _assert_model_constants_agree(frame.at_base(base))
+        assert constants == frame_entry.constants
+
+
+@given(filiform_frames())
+def test_model_constants_match_frame_constants_beyond_step_three(frame):
+    assert _assert_model_constants_agree(frame) == filiform_constants(frame.n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +369,20 @@ def test_convert_nilpotent_approx_rejects_different_constants():
         convert_nilpotent_approx(frame.fields, abelian, frame.weights)
 
 
+def test_convert_nilpotent_approx_rejects_non_lie_brackets():
+    """X1 = d1 + x2 d4, X4 = d4 + x3 d5 on weights (1, 1, 1, 2, 3): the
+    brackets at 0 give [e1, e2] = -e4 and [e4, e3] = -e5 only, so the
+    Jacobi sum of (e1, e2, e3) is e5."""
+    n = 5
+    zero = RationalPoly.zero(n)
+    x2, x3 = RationalPoly.variable(n, 1), RationalPoly.variable(n, 2)
+    fields = [PolyVectorField.coordinate(n, j) for j in range(n)]
+    fields[0] = fields[0] + PolyVectorField([zero, zero, zero, x2, zero])
+    fields[3] = fields[3] + PolyVectorField([zero, zero, zero, zero, x3])
+    with pytest.raises(ValueError, match="jacobi"):
+        convert_nilpotent_approx(fields, fields, (1, 1, 1, 2, 3))
+
+
 def test_convert_nilpotent_approx_rejects_inhomogeneous_basis():
     frame = catalog("heisenberg_3").frame
     bad = catalog("perturbed_heisenberg_3").frame.fields
@@ -443,6 +500,21 @@ def test_rk4_rejects_bad_step(h3_frame, step):
     for kind in ("first", "second"):
         with pytest.raises(ValueError, match="step"):
             ChartSampler(h3_frame, kind, step)((0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("t_total", [float("inf"), float("-inf"), float("nan")])
+def test_rk4_rejects_non_finite_time(h3_frame, t_total):
+    with pytest.raises(ValueError, match="time must be finite"):
+        numeric_flow(h3_frame.fields[0], (0, 0, 0), t_total)
+    with pytest.raises(ValueError, match="time must be finite"):
+        ChartSampler(h3_frame, "second")((t_total, 0.2, 0.3))
+
+
+def test_chart_sampler_rejects_unknown_kind(h3_frame):
+    with pytest.raises(ValueError, match="kind"):
+        ChartSampler(h3_frame, "bogus")
+    with pytest.raises(ValueError, match="kind"):
+        NumericChart.build(h3_frame, "bogus")
 
 
 @pytest.mark.parametrize("options, match", [

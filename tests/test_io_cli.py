@@ -1,5 +1,7 @@
 import io as io_mod
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+import carnotkit
 from carnotkit import cli, io
 from carnotkit.coords import CoordinateChange, epsilon
 from carnotkit.groups import catalog
@@ -186,14 +189,19 @@ def test_cli_internal_error_exits_3(capsys, monkeypatch):
 
 
 def test_cli_pipe_subprocess():
-    """Same composition through real processes and the console script."""
+    """Same composition through real processes and the console script.
+    The children import the package from where this process found it."""
+    here = str(Path(carnotkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [here, os.environ.get("PYTHONPATH")])))
     first = subprocess.run([sys.executable, "-m", "carnotkit.cli",
                             "catalog", "heisenberg_3"],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=env)
     assert first.returncode == 0
     second = subprocess.run([sys.executable, "-m", "carnotkit.cli",
                              "group-law", "-", "--x", "1,0,0", "--y", "0,1,0"],
-                            input=first.stdout, capture_output=True, text=True)
+                            input=first.stdout, capture_output=True, text=True,
+                            env=env)
     assert second.returncode == 0
     assert json.loads(second.stdout)["product"] == ["1", "1", "1/2"]
 
