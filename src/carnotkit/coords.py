@@ -122,6 +122,9 @@ class CoordinateChange:
         return self.affine_inverse_polymap().compose(q)
 
     def inverse_apply(self, point):
+        if not self.is_exactly_invertible:
+            raise ValueError("a change with no exact inverse has no pointwise "
+                             "inverse; inverse_polymap(max_weight) truncates it")
         q = invert_weight_triangular(self.poly, self.weights.weights)
         u = q.evaluate(tuple(Fraction(x) for x in point))
         return tuple(o + v for o, v in
@@ -547,15 +550,22 @@ def _float_frame(fields):
     return np.array(exps, dtype=float).reshape(len(exps), n), coeffs
 
 
+MAX_RK4_STEPS = 10 ** 6
+
+
 def _rk4(coeffs, exps, y0, t_total, step):
     """Classic RK4 for x' = coeffs @ x^E from y0 over time t_total, in
-    ceil(|t_total| / step) equal steps."""
+    ceil(|t_total| / step) equal steps; more than MAX_RK4_STEPS of them
+    raise ValueError before the first one."""
     step = float(step)
     if not 0 < step < math.inf:
         raise ValueError("RK4 step must be positive and finite, got %r" % step)
     t_total = float(t_total)
     if not math.isfinite(t_total):
         raise ValueError("RK4 time must be finite, got %r" % t_total)
+    if abs(t_total) / step > MAX_RK4_STEPS:
+        raise ValueError("RK4 over time %r with step %r needs more than %d steps"
+                         % (t_total, step, MAX_RK4_STEPS))
     count = math.ceil(abs(t_total) / step)
     h = t_total / max(count, 1)
     x = np.array([float(v) for v in y0])

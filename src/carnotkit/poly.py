@@ -5,7 +5,9 @@ dropped eagerly, so equality is plain dict equality.  Variables are indexed
 from 0 internally and printed as x1, ..., xn.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import add
 
 from .graded import WeightVector, as_weights, weighted_degree
 
@@ -44,6 +46,44 @@ def monomial_str(exp, coef):
     return "%s%d/%d*%s" % (sign, num, den, mono)
 
 
+def _accumulate(out, items):
+    """Add (exponent, coefficient) pairs into the term dict ``out``."""
+    for exp, c in items:
+        prev = out.get(exp)
+        if prev is None:
+            out[exp] = c
+        else:
+            s = prev + c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+
+
+def _product(left, right, ws=None, bound=None):
+    """The one product loop: the term dict of left * right.
+
+    With weights ``ws`` and a ``bound``, a pair whose weighted degrees sum
+    past the bound is never formed; weights are nonnegative, so such a pair
+    only yields monomials above it.  Each operand's weighted degrees are
+    computed here, once per call: nothing is cached on a polynomial, whose
+    ``terms`` dict callers may mutate.
+    """
+    if bound is None:
+        partners = list(right.items())
+    else:
+        graded = sorted((weighted_degree(e, ws), e, c) for e, c in right.items())
+        degrees = [d for d, _, _ in graded]
+        partners = [(e, c) for _, e, c in graded]
+    out = {}
+    for e1, c1 in left.items():
+        row = partners
+        if bound is not None:  # the partners of weighted degree <= bound - <e1>
+            row = partners[:bisect_right(degrees, bound - weighted_degree(e1, ws))]
+        _accumulate(out, [(tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in row])
+    return out
+
+
 class RationalPoly:
     """Sparse polynomial in n variables with Fraction coefficients."""
 
@@ -59,17 +99,8 @@ class RationalPoly:
                 if len(exp) != self.n or any(e < 0 for e in exp):
                     raise ValueError("bad exponent %r for %d variables" % (exp, self.n))
                 c = _coef(c)
-                if not c:
-                    continue
-                prev = table.get(exp)
-                if prev is None:
-                    table[exp] = c
-                else:
-                    s = prev + c
-                    if s:
-                        table[exp] = s
-                    else:
-                        del table[exp]
+                if c:
+                    _accumulate(table, [(exp, c)])
         self.terms = table
 
     # -- constructors -------------------------------------------------
@@ -126,16 +157,7 @@ class RationalPoly:
             return NotImplemented
         self._check_same(other)
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            prev = out.get(exp)
-            if prev is None:
-                out[exp] = c
-            else:
-                s = prev + c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
+        _accumulate(out, other.terms.items())
         return RationalPoly._from_terms(self.n, out)
 
     __radd__ = __add__
@@ -162,21 +184,7 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_same(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                prev = out.get(exp)
-                if prev is None:
-                    out[exp] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[exp] = s
-                    else:
-                        del out[exp]
-        return RationalPoly._from_terms(self.n, out)
+        return RationalPoly._from_terms(self.n, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -233,11 +241,10 @@ class RationalPoly:
         """Plug polynomials in for the variables (args[j] replaces x_j).
 
         With ``weights`` and ``bound`` given, monomials of the result whose
-        weighted degree exceeds ``bound`` are dropped, and intermediate
-        products are clipped the same way while they accumulate.  Every
-        surviving term is still exact: the clip only discards terms that
-        cannot contribute at or below the bound (all monomial weights are
-        nonnegative, so products never lose weight).
+        weighted degree exceeds ``bound`` are dropped: every power and
+        partial product is clipped inside the product itself (see
+        ``_product``), so a pair of terms that can only land above the bound
+        is never formed.  Every surviving term is still exact.
         """
         if len(args) != self.n:
             raise ValueError("need %d substitution polynomials" % self.n)
@@ -248,50 +255,25 @@ class RationalPoly:
             for g in args:
                 if not isinstance(g, RationalPoly) or g.n != m:
                     raise ValueError("substitution polynomials must share a variable count")
-        ws = minw = None
+        ws = None
         if bound is not None:
             ws = as_weights(weights)
             if len(ws) != m:
                 raise ValueError("weights must grade the substitution variables")
-            # least weighted degree each argument can supply, for skipping
-            # host terms that cannot reach the bound at all
-            minw = [min((weighted_degree(e, ws) for e in g.terms), default=None)
-                    for g in args]
-        powers = [[RationalPoly.const(m, 1)] for _ in range(self.n)]
+            if bound < 0:  # every monomial, the constant one included, is above it
+                return RationalPoly(m)
+        zero = (0,) * m
+        powers = [[{zero: Fraction(1)}] for _ in range(self.n)]
         acc = {}
         for exp, c in self.terms.items():
-            if minw is not None:
-                low = 0
-                for j, e in enumerate(exp):
-                    if e:
-                        if minw[j] is None:
-                            low = None  # argument is the zero polynomial
-                            break
-                        low += e * minw[j]
-                if low is None or low > bound:
-                    continue
-            term = RationalPoly.const(m, c)
+            term = {zero: c}
             for j, e in enumerate(exp):
                 if e:
                     pj = powers[j]
                     while len(pj) <= e:
-                        nxt = pj[-1] * args[j]
-                        if bound is not None:
-                            nxt = take_weight_le(nxt, ws, bound)
-                        pj.append(nxt)
-                    term = term * pj[e]
-                    if bound is not None:
-                        term = take_weight_le(term, ws, bound)
-            for e2, c2 in term.terms.items():
-                prev = acc.get(e2)
-                if prev is None:
-                    acc[e2] = c2
-                else:
-                    s = prev + c2
-                    if s:
-                        acc[e2] = s
-                    else:
-                        del acc[e2]
+                        pj.append(_product(pj[-1], args[j].terms, ws, bound))
+                    term = _product(term, pj[e], ws, bound)
+            _accumulate(acc, term.items())
         return RationalPoly._from_terms(m, acc)
 
     def sorted_terms(self):

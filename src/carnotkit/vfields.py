@@ -319,10 +319,13 @@ def function_order(f, frame, n_max=None):
 
     Only weights < n_max are enumerated (default r + 1); returns None when
     every candidate up to that bound vanishes, meaning "order >= n_max".
+    The zero function returns None at once: every derivation of it vanishes.
     """
     ws = frame.weights
     if f.n != ws.n:
         raise ValueError("function and frame dimensions differ")
+    if f.is_zero:
+        return None
     if n_max is None:
         n_max = ws.r + 1
     a = frame.base_point

@@ -11,10 +11,10 @@ from carnotkit.poly import (
 )
 from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
 from carnotkit.coords import (
-    ChartSampler, CoordinateChange, NumericChart, canonical_first_kind,
-    canonical_second_kind, combined_field, convert_nilpotent_approx, epsilon,
-    exact_flow, exp_map, linearize, log_map, numeric_flow, psi_map,
-    transform_frame,
+    MAX_RK4_STEPS, ChartSampler, CoordinateChange, NumericChart,
+    canonical_first_kind, canonical_second_kind, combined_field,
+    convert_nilpotent_approx, epsilon, exact_flow, exp_map, linearize,
+    log_map, numeric_flow, psi_map, transform_frame,
 )
 
 import oracles
@@ -59,6 +59,8 @@ def test_change_accepts_raising_linear_term():
     assert not change.is_exactly_invertible
     with pytest.raises(ValueError, match="max_weight"):
         change.inverse_polymap()
+    with pytest.raises(ValueError, match="no exact inverse has no pointwise inverse"):
+        change.inverse_apply((1, 2))
     # The truncated inverse still undoes the change up to the cap.
     inv = change.inverse_polymap(max_weight=4)
     comp = change.forward_polymap().compose(inv)
@@ -508,6 +510,15 @@ def test_rk4_rejects_non_finite_time(h3_frame, t_total):
         numeric_flow(h3_frame.fields[0], (0, 0, 0), t_total)
     with pytest.raises(ValueError, match="time must be finite"):
         ChartSampler(h3_frame, "second")((t_total, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("t_total,step", [(1e300, 1e-3), (1.0, 1e-300),
+                                          (1e300, 1e-300),
+                                          (-(MAX_RK4_STEPS + 1) * 1e-3, 1e-3)])
+def test_rk4_caps_its_step_count(h3_frame, t_total, step):
+    # raised before the first step, so no case runs the loop
+    with pytest.raises(ValueError, match="more than %d steps" % MAX_RK4_STEPS):
+        numeric_flow(h3_frame.fields[0], (0, 0, 0), t_total, step=step)
 
 
 def test_chart_sampler_rejects_unknown_kind(h3_frame):

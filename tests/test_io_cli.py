@@ -326,7 +326,7 @@ def test_cli_schema_error_is_exit_2(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf"])
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "inf", "1e-300"])
 def test_cli_numeric_rejects_bad_step(capsys, step):
     assert cli.main(["canonical1", "heisenberg_3", "--numeric",
                      "--step=" + step, "--seed", "1"]) == 2

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from carnotkit.graded import WeightVector
 from carnotkit.poly import (
@@ -63,7 +63,10 @@ def test_power_matches_repeated_multiplication():
 @given(small_polys(2, max_terms=3, max_exp=2),
        small_polys(2, max_terms=3, max_exp=2),
        small_polys(2, max_terms=3, max_exp=2),
-       st.integers(min_value=0, max_value=6))
+       st.integers(min_value=-1, max_value=6))
+@example(host=RationalPoly(2, {(2, 0): 1, (0, 0): 3}),
+         g1=RationalPoly(2, {(1, 0): 1, (0, 0): 1}), g2=RationalPoly.variable(2, 0),
+         bound=-1)  # below every weight, the constant term's included: 0
 def test_capped_substitute_equals_truncated_exact(host, g1, g2, bound):
     ws = (1, 2)
     exact = host.substitute([g1, g2])

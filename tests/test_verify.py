@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from carnotkit.graded import weighted_degree
-from carnotkit.groups import catalog
+from carnotkit.groups import catalog, group_frame
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.coords import (
     CoordinateChange, canonical_first_kind, canonical_second_kind, epsilon,
@@ -18,6 +18,7 @@ from carnotkit.verify import (
 )
 
 import oracles
+from conftest import filiform_constants
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,22 @@ def test_variants_on_step3_frame(engel_frame, rng):
     adversarial = generate_adversarial_variants(eps.change, 1, rng)[0]
     assert check_privileged(engel_frame, adversarial).ok
     assert not check_carnot(engel_frame, adversarial, eps=eps).ok
+
+
+def test_truncated_verdicts_on_step4_filiform_frame(rng):
+    """Step 4: variants of the epsilon chart of the filiform_5 group frame
+    have no exact inverse, so both verdicts run on truncated pushforwards."""
+    base = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(0),
+            Fraction(2, 3))
+    frame = group_frame(filiform_constants(5), base)
+    eps = epsilon(frame)
+    carnot = generate_carnot_variants(eps.change, 1, rng)[0]
+    privileged = generate_privileged_variants(eps.change, 1, rng)[0]
+    for variant, is_carnot in ((carnot, True), (privileged, False)):
+        priv = check_privileged(frame, variant)
+        assert priv.ok and priv.details["truncated"]
+        carn = check_carnot(frame, variant, eps=eps)
+        assert carn.ok is is_carnot and carn.details["truncated"]
 
 
 def test_adversarial_variants_impossible_in_step_one(rng):

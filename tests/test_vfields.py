@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from carnotkit.graded import WeightVector, dilate
 from carnotkit.groups import catalog, left_invariant_fields
+from carnotkit import vfields
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.vfields import (
     Frame, PolyVectorField, bracket, expand, field_weight,
@@ -224,3 +225,13 @@ def test_function_order_constants_and_cutoff(h3_frame):
     x3 = RationalPoly.variable(3, 2)
     assert function_order(x3 * x3, h3_frame, n_max=4) is None
     assert function_order(x3 * x3, h3_frame, n_max=5) == 4
+
+
+def test_function_order_of_zero_enumerates_nothing(monkeypatch):
+    # n^B derivation words at bound B: the zero function must not walk them
+    def refuse(weights, target):
+        raise AssertionError("enumerated derivations of the zero function")
+
+    monkeypatch.setattr(vfields, "_sequences_of_weight", refuse)
+    frame = catalog("heisenberg_5").frame
+    assert function_order(RationalPoly.zero(5), frame, n_max=12) is None
