@@ -25,6 +25,14 @@ from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
 from .vfields import Frame, PolyVectorField, expand, model_field, pushforward
 
 
+def _affine_polymap(matrix, shift):
+    """x -> matrix x + shift as a PolyMap."""
+    n = len(shift)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return PolyMap([RationalPoly(n, [((0,) * n, s)] + list(zip(units, row)))
+                    for row, s in zip(matrix, shift)])
+
+
 class CoordinateChange:
     """Composite change of coordinates m = poly . affine, with
     affine(x) = M (x - offset).
@@ -51,21 +59,16 @@ class CoordinateChange:
         if self.poly.n_in != n or self.poly.n_out != n:
             raise ValueError("polynomial factor must be a square map in %d variables" % n)
         self._validate_unipotent()
-        self._forward = None
 
     def _validate_unipotent(self):
         ws = self.weights.weights
-        n = self.weights.n
         if any(self.poly.constant_part()):
             raise ValueError("polynomial factor must fix the origin")
-        lin = self.poly.linear_matrix()
-        for k in range(n):
-            for j in range(n):
-                want_one = k == j
-                entry = lin[k][j]
-                if want_one and entry != 1:
+        for k, row in enumerate(self.poly.linear_matrix()):
+            for j, entry in enumerate(row):
+                if j == k and entry != 1:
                     raise ValueError("polynomial factor must have unit diagonal")
-                if not want_one and entry and ws[j] <= ws[k]:
+                if j != k and entry and ws[j] <= ws[k]:
                     raise ValueError(
                         "linear term x%d in component %d is not weight-raising"
                         % (j + 1, k + 1))
@@ -82,33 +85,16 @@ class CoordinateChange:
         return all(rank < 2 for rank in ranks)
 
     def affine_polymap(self):
-        n = self.weights.n
-        comps = []
-        for k in range(n):
-            p = RationalPoly.const(n, -sum(self.matrix[k][j] * self.offset[j]
-                                           for j in range(n)))
-            for j in range(n):
-                if self.matrix[k][j]:
-                    p = p + self.matrix[k][j] * RationalPoly.variable(n, j)
-            comps.append(p)
-        return PolyMap(comps)
+        """u = M (x - offset) as a PolyMap in x."""
+        return _affine_polymap(self.matrix,
+                               [-v for v in linalg.mat_vec(self.matrix, self.offset)])
 
     def affine_inverse_polymap(self):
         """x = offset + M^{-1} u as a PolyMap in u."""
-        n = self.weights.n
-        comps = []
-        for k in range(n):
-            p = RationalPoly.const(n, self.offset[k])
-            for j in range(n):
-                if self.matrix_inv[k][j]:
-                    p = p + self.matrix_inv[k][j] * RationalPoly.variable(n, j)
-            comps.append(p)
-        return PolyMap(comps)
+        return _affine_polymap(self.matrix_inv, self.offset)
 
     def forward_polymap(self):
-        if self._forward is None:
-            self._forward = self.poly.compose(self.affine_polymap())
-        return self._forward
+        return self.poly.compose(self.affine_polymap())
 
     def apply(self, point):
         u = linalg.mat_vec(self.matrix,
@@ -126,9 +112,8 @@ class CoordinateChange:
             raise ValueError("a change with no exact inverse has no pointwise "
                              "inverse; inverse_polymap(max_weight) truncates it")
         q = invert_weight_triangular(self.poly, self.weights.weights)
-        u = q.evaluate(tuple(Fraction(x) for x in point))
-        return tuple(o + v for o, v in
-                     zip(self.offset, linalg.mat_vec(self.matrix_inv, u)))
+        return self.affine_inverse_polymap().evaluate(
+            q.evaluate(tuple(Fraction(x) for x in point)))
 
     def compose_tail(self, outer):
         """New change with the polynomial factor outer . poly (affine kept)."""
@@ -153,19 +138,27 @@ def linearize(frame):
     Raises DegenerateFrameError when B(a) is singular.
     """
     change = CoordinateChange(frame.adapted_matrix(), frame.base_point, frame.weights)
-    return change, transform_frame(frame, change)
+    return change, _push_affine(frame, change)
+
+
+def _push_affine(frame, change):
+    """Stage 1 of transform_frame: push through the affine factor only."""
+    forward, inverse = change.affine_polymap(), change.affine_inverse_polymap()
+    return Frame([pushforward(x, forward, inverse) for x in frame.fields],
+                 frame.weights, forward.evaluate(frame.base_point), check=False)
 
 
 def transform_frame(frame, change, max_weight=None):
     """Push every frame field through the change; exact when the change is,
-    truncated at max_weight otherwise."""
-    forward = change.forward_polymap()
-    inverse = change.inverse_polymap(max_weight)
+    truncated at max_weight otherwise.  Two exact stages: the affine factor,
+    then the unipotent factor, whose inverse has no constant terms, so the
+    weight clip prunes from the first product on."""
+    adapted = _push_affine(frame, change)
+    ws = frame.weights.weights
     bound = None if change.is_exactly_invertible else max_weight
-    fields = [pushforward(x, forward, inverse, frame.weights.weights, bound)
-              for x in frame.fields]
-    new_base = change.apply(frame.base_point)
-    return Frame(fields, frame.weights, new_base, check=False)
+    inverse = invert_weight_triangular(change.poly, ws, bound)
+    return Frame([pushforward(x, change.poly, inverse, ws, bound) for x in adapted.fields],
+                 frame.weights, change.poly(adapted.base_point), check=False)
 
 
 def psi_map(frame):

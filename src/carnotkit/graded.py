@@ -8,6 +8,7 @@ they are kept as raw tuples and never wrapped in a :class:`WeightVector`.
 
 from fractions import Fraction
 import math
+from operator import mul
 
 
 class WeightVector:
@@ -63,7 +64,7 @@ def as_weights(w):
 
 def weighted_degree(exp, weights):
     """<alpha> = sum_j w_j * alpha_j."""
-    return sum(e * w for e, w in zip(exp, weights))
+    return sum(map(mul, exp, weights))
 
 
 def multi_factorial(exp):

@@ -60,23 +60,27 @@ def _accumulate(out, items):
                 del out[exp]
 
 
+def _graded(terms, ws=None):
+    """A term dict as (weighted degrees, items) sorted by degree; as
+    (None, items) in dict order without weights."""
+    if ws is None:
+        return None, list(terms.items())
+    graded = sorted((weighted_degree(e, ws), e, c) for e, c in terms.items())
+    return [d for d, _, _ in graded], [(e, c) for _, e, c in graded]
+
+
 def _product(left, right, ws=None, bound=None):
-    """The one product loop: the term dict of left * right.
+    """The one product loop: the term dict of left * right, for ``left``
+    term items and ``right`` in ``_graded`` form, graded by the caller once
+    for every product it enters (nothing is cached on a polynomial).
 
     With weights ``ws`` and a ``bound``, a pair whose weighted degrees sum
     past the bound is never formed; weights are nonnegative, so such a pair
-    only yields monomials above it.  Each operand's weighted degrees are
-    computed here, once per call: nothing is cached on a polynomial, whose
-    ``terms`` dict callers may mutate.
+    only yields monomials above it.
     """
-    if bound is None:
-        partners = list(right.items())
-    else:
-        graded = sorted((weighted_degree(e, ws), e, c) for e, c in right.items())
-        degrees = [d for d, _, _ in graded]
-        partners = [(e, c) for _, e, c in graded]
+    degrees, partners = right
     out = {}
-    for e1, c1 in left.items():
+    for e1, c1 in left:
         row = partners
         if bound is not None:  # the partners of weighted degree <= bound - <e1>
             row = partners[:bisect_right(degrees, bound - weighted_degree(e1, ws))]
@@ -184,7 +188,8 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
         self._check_same(other)
-        return RationalPoly._from_terms(self.n, _product(self.terms, other.terms))
+        return RationalPoly._from_terms(self.n, _product(self.terms.items(),
+                                                         _graded(other.terms)))
 
     __rmul__ = __mul__
 
@@ -263,16 +268,18 @@ class RationalPoly:
             if bound < 0:  # every monomial, the constant one included, is above it
                 return RationalPoly(m)
         zero = (0,) * m
-        powers = [[{zero: Fraction(1)}] for _ in range(self.n)]
+        powers = [[] for _ in args]  # [j][e - 1]: args[j]^e, graded once per call
         acc = {}
         for exp, c in self.terms.items():
             term = {zero: c}
             for j, e in enumerate(exp):
                 if e:
                     pj = powers[j]
-                    while len(pj) <= e:
-                        pj.append(_product(pj[-1], args[j].terms, ws, bound))
-                    term = _product(term, pj[e], ws, bound)
+                    if not pj:
+                        pj.append(_graded(args[j].terms, ws))
+                    while len(pj) < e:
+                        pj.append(_graded(_product(pj[-1][1], pj[0], ws, bound), ws))
+                    term = _product(term.items(), pj[e - 1], ws, bound)
             _accumulate(acc, term.items())
         return RationalPoly._from_terms(m, acc)
 

@@ -391,9 +391,10 @@ def crit13_variants(rng):
             if not check_carnot(frame, change, eps=eps).ok:
                 return False, "a Carnot variant fails on %s" % name
         for change in generate_adversarial_variants(eps.change, n_adv, rng):
-            if check_carnot(frame, change, eps=eps).ok:
+            report = check_carnot(frame, change, eps=eps)
+            if report.ok:
                 return False, "an adversarial variant passed the Carnot check on %s" % name
-            if not check_privileged(frame, change).ok:
+            if not report.details["privileged"].ok:  # the same push's privileged verdict
                 return False, "an adversarial variant lost privilege on %s" % name
         counts.append("%s %d+%d+%d" % (name, n_priv, n_carn, n_adv))
     return True, "; ".join(counts)

@@ -13,7 +13,7 @@ from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
                      weighted_degree)
 from .groups import (group_product, left_invariant_fields,
                      model_structure_constants)
-from .poly import PolyMap, RationalPoly, TriangularMap, monomial_str
+from .poly import PolyMap, RationalPoly, TriangularMap, invert_weight_triangular, monomial_str
 from .vfields import DegenerateFrameError, Frame, expand
 
 
@@ -110,10 +110,21 @@ def check_privileged(frame, change):
     homogeneous part exactly at degree -w_j.  On exactly invertible changes
     the verdict is cross-checked against the derivation orders of the
     coordinate functions (which must then equal the weights).
+    ``check_carnot`` returns this report of the same push in
+    ``details["privileged"]``: ask it alone for both verdicts.
     """
     pushed, exact = _push_through(frame, change)
     report, _ = _privileged_inspection(pushed, exact)
     return report
+
+
+def _carnot_residual(change, eps_change):
+    """change . eps^{-1} - id clipped at weight r >= every violation's, as
+    poly . (change.affine . eps.affine^{-1}) . q_eps: centred at 0."""
+    ws, r = change.weights.weights, change.weights.r
+    link = change.affine_polymap().compose(eps_change.affine_inverse_polymap())
+    q_eps = invert_weight_triangular(eps_change.poly, ws)
+    return change.poly.compose(link.compose(q_eps), ws, r) - PolyMap.identity(len(ws))
 
 
 def check_carnot(frame, change, eps=None):
@@ -146,10 +157,7 @@ def check_carnot(frame, change, eps=None):
 
     if eps is None:
         eps = epsilon(frame)
-    # every possible violation has weighted degree <= w_k <= r, so the
-    # composition may be clipped at r without losing any witness
-    residual = change.forward_polymap().compose(
-        eps.change.inverse_polymap(), wv.weights, wv.r) - PolyMap.identity(wv.n)
+    residual = _carnot_residual(change, eps.change)
     violations = ow_violations(residual, 1, wv.weights)
     for k, comp in enumerate(residual.components):
         for exp, coef in comp.sorted_terms():

@@ -153,6 +153,23 @@ def filiform_frames(draw, sizes=(5, 6)):
     return Frame(fields, WeightVector(ws), draw(points(n, 2, 3)))
 
 
+def nonzero_base_frames(filiform_sizes=(5, 6)):
+    """Catalog frames at nonzero rational base points where B(a) is
+    invertible, and model filiform frames (``filiform_frames``) at nonzero
+    ones."""
+    def at(args):
+        name, point = args
+        try:
+            return catalog(name).frame.at_base(point, check=True)
+        except ValueError:  # DegenerateFrameError included
+            return None
+    at_catalog = st.sampled_from(CATALOG_FRAME_NAMES).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               points(catalog(name).constants.weights.n, 3, 4))).map(at)
+    return st.one_of(at_catalog, filiform_frames(filiform_sizes)).filter(
+        lambda fr: fr is not None and any(fr.base_point))
+
+
 # ---------------------------------------------------------------------------
 # Fixtures.
 # ---------------------------------------------------------------------------

@@ -342,3 +342,38 @@ def step2_log_instance():
     x2 = RationalPoly.variable(3, 1)
     x3 = RationalPoly.variable(3, 2)
     return PolyMap([x1, x2, x3 - x1 * x2 * Fraction(1, 2)])
+
+
+# ---------------------------------------------------------------------------
+# One-stage pushes: the change expanded about the base point as a whole.
+# ---------------------------------------------------------------------------
+
+def one_stage_push(frame, change, max_weight=None):
+    """Coefficient lists of the frame pushed through the change in one
+    stage: X(m_k) = sum_j X^j d_j m_k for the forward map m expanded about
+    the base point, composed with the whole inverse (the affine inverse and
+    its constant terms included), clipped at max_weight when the change has
+    no exact inverse."""
+    ws = frame.weights.weights
+    bound = None if change.is_exactly_invertible else max_weight
+    forward = change.forward_polymap()
+    inverse = change.inverse_polymap(max_weight).components
+    pushed = []
+    for field in frame.fields:
+        coeffs = []
+        for m_k in forward.components:
+            x_m_k = RationalPoly.zero(m_k.n)
+            for j, c in enumerate(field.coefficients):
+                x_m_k = x_m_k + c * m_k.partial(j)
+            coeffs.append(x_m_k.substitute(inverse, ws, bound))
+        pushed.append(coeffs)
+    return pushed
+
+
+def one_stage_carnot_residual(change, eps_change):
+    """change . eps^{-1} - id clipped at weight r, with the change expanded
+    about the base point and eps's inverse carrying its constant terms."""
+    wv = change.weights
+    return (change.forward_polymap().compose(eps_change.inverse_polymap(),
+                                             wv.weights, wv.r)
+            - PolyMap.identity(wv.n))

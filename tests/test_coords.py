@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from carnotkit.graded import WeightVector
 from carnotkit.groups import (catalog, model_structure_constants,
@@ -10,6 +10,9 @@ from carnotkit.poly import (
     PolyMap, RationalPoly, TriangularMap, invert_triangular,
 )
 from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
+from carnotkit.verify import (generate_adversarial_variants, generate_carnot_variants,
+                              generate_privileged_variants,
+                              random_homogeneous_triangular)
 from carnotkit.coords import (
     MAX_RK4_STEPS, ChartSampler, CoordinateChange, NumericChart,
     canonical_first_kind, canonical_second_kind, combined_field,
@@ -18,8 +21,8 @@ from carnotkit.coords import (
 )
 
 import oracles
-from conftest import (filiform_constants, filiform_frames, points,
-                      step2_adapted_frames)
+from conftest import (filiform_constants, filiform_frames, nonzero_base_frames,
+                      points, step2_adapted_frames)
 
 
 def _vars(n):
@@ -127,6 +130,42 @@ def test_transform_frame_moves_base():
     again = transform_frame(frame, change)
     assert again.base_point == pushed.base_point == (0, 0, 0)
     assert [f for f in again.fields] == [f for f in pushed.fields]
+
+
+# ---------------------------------------------------------------------------
+# transform_frame's two-stage push against the one-stage push.
+# ---------------------------------------------------------------------------
+
+def _assert_one_stage_push(frame, change, max_weight=None):
+    pushed = transform_frame(frame, change, max_weight)
+    assert ([list(x.coefficients) for x in pushed.fields]
+            == oracles.one_stage_push(frame, change, max_weight))
+    assert pushed.base_point == change.apply(frame.base_point)
+
+
+@settings(max_examples=15)
+@given(frame=nonzero_base_frames(), rng=st.randoms(use_true_random=False))
+def test_transform_frame_matches_one_stage_push_on_exact_changes(frame, rng):
+    eps = epsilon(frame).change
+    ws = frame.weights
+    shifted = CoordinateChange(eps.matrix, [v + 1 for v in eps.offset], ws, eps.poly)
+    tail = random_homogeneous_triangular(ws, rng)
+    for change in (linearize(frame)[0], eps, eps.compose_tail(tail), shifted):
+        assert change.is_exactly_invertible
+        _assert_one_stage_push(frame, change)
+
+
+@settings(max_examples=6)  # filiform n = 6 costs seconds per one-stage push
+@given(frame=nonzero_base_frames(filiform_sizes=(5,)),
+       rng=st.randoms(use_true_random=False))
+def test_transform_frame_matches_one_stage_push_on_truncated_variants(frame, rng):
+    eps = epsilon(frame).change
+    variants = (generate_carnot_variants(eps, 1, rng)
+                + generate_privileged_variants(eps, 1, rng))
+    if frame.weights.r > 1:
+        variants += generate_adversarial_variants(eps, 1, rng)
+    for change in variants:
+        _assert_one_stage_push(frame, change, frame.weights.r + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,18 @@ def test_weight_vector_rejects(bad):
         WeightVector(bad)
 
 
+@given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(min_value=0, max_value=9)] * n),
+    st.tuples(*[st.integers(min_value=0, max_value=7)] * n))))
+def test_weighted_degree_matches_explicit_loop(exp_weights):
+    exp, weights = exp_weights
+    total = 0
+    for e, w in zip(exp, weights):
+        total += e * w
+    assert weighted_degree(exp, weights) == total
+    assert weighted_degree(exp, weights + (5,)) == total  # extra weights ignored
+
+
 def test_weighted_degree_and_factorial():
     assert weighted_degree((2, 0, 1), (1, 1, 2)) == 4
     assert weighted_degree((0, 0, 0), (1, 1, 2)) == 0

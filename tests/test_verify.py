@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carnotkit.graded import weighted_degree
 from carnotkit.groups import catalog, group_frame
@@ -11,14 +12,14 @@ from carnotkit.coords import (
 )
 from carnotkit.vfields import DegenerateFrameError, Frame, PolyVectorField
 from carnotkit.verify import (
-    check_carnot, check_privileged, generate_adversarial_variants,
+    _carnot_residual, check_carnot, check_privileged, generate_adversarial_variants,
     generate_carnot_variants, generate_privileged_variants,
     group_translation_identity, numeric_chart_report, osculation_report,
     random_raising_perturbation,
 )
 
 import oracles
-from conftest import filiform_constants
+from conftest import filiform_constants, nonzero_base_frames
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,39 @@ def test_variants_on_step3_frame(engel_frame, rng):
     adversarial = generate_adversarial_variants(eps.change, 1, rng)[0]
     assert check_privileged(engel_frame, adversarial).ok
     assert not check_carnot(engel_frame, adversarial, eps=eps).ok
+
+
+@settings(max_examples=10)
+@given(frame=nonzero_base_frames(filiform_sizes=(5,)),
+       rng=st.randoms(use_true_random=False))
+def test_carnot_residual_matches_one_stage_formula(frame, rng):
+    """Route B's residual, composed about 0 as poly . link . q_eps, equals
+    forward . eps^{-1} clipped at r; also when the change's affine factor
+    differs from eps's, so that the link map carries constant terms."""
+    eps = epsilon(frame).change
+    changes = [eps] + generate_carnot_variants(eps, 1, rng) + generate_privileged_variants(
+        eps, 1, rng)
+    if frame.weights.r > 1:
+        changes += generate_adversarial_variants(eps, 1, rng)
+    for change in list(changes):
+        changes.append(CoordinateChange([[2 * v for v in row] for row in change.matrix],
+                                         [v + 1 for v in change.offset], frame.weights,
+                                         change.poly))
+    link = changes[-1].affine_polymap().compose(eps.affine_inverse_polymap())
+    assert any(link.constant_part())
+    for change in changes:
+        assert _carnot_residual(change, eps) == oracles.one_stage_carnot_residual(change, eps)
+
+
+def test_carnot_check_carries_the_privileged_report(rng):
+    frame = catalog("heisenberg_5").frame.at_base((1, -2, 0, 1, 3))
+    eps = epsilon(frame)
+    for variant in (generate_privileged_variants(eps.change, 2, rng)
+                    + generate_adversarial_variants(eps.change, 2, rng)):
+        priv = check_privileged(frame, variant)
+        carried = check_carnot(frame, variant, eps=eps).details["privileged"]
+        assert (carried.ok, carried.witnesses, carried.details) == (
+            priv.ok, priv.witnesses, priv.details)
 
 
 def test_truncated_verdicts_on_step4_filiform_frame(rng):
