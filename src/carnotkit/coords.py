@@ -4,8 +4,8 @@ The chain is: an affine adaptation at the base point, the triangular
 correction psi that makes the coordinates privileged, the homogeneous
 model fields, and the exponential/logarithm of the model basis, whose
 composition is the epsilon chart.  Exact flows of triangular systems give
-canonical coordinates of the first and second kind; a fixed-step RK4
-integrator backs the numeric variants.
+canonical coordinates of the first and second kind; one stacked fixed-step
+RK4 loop backs the numeric variants.
 """
 
 from fractions import Fraction
@@ -13,8 +13,6 @@ from functools import cached_property
 from itertools import groupby
 import math
 import random
-
-import numpy as np
 
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
@@ -518,20 +516,21 @@ def canonical_second_kind(frame, mode="exact", **numeric_options):
 
 
 # ---------------------------------------------------------------------------
-# Numeric harness: fixed-step RK4 and fitted charts.
+# Numeric harness: one stacked RK4 loop and fitted charts; only it loads numpy.
 # ---------------------------------------------------------------------------
 
 
 def _monomials(x, exps):
     """x^E: the product of x ** e over each row e of the exponent matrix
     E, for a point x or along the last axis of a stack of points."""
-    return np.prod(x[..., None, :] ** exps, axis=-1)
+    return (x[..., None, :] ** exps).prod(-1)
 
 
 def _float_frame(fields):
     """(E, C) with B(x) = C . x^E in floats: E is the (T, n) matrix of
     every exponent in the fields and C the (m, n, T) tensor of their
     coefficients, so field j at x is C[j] @ _monomials(x, E)."""
+    import numpy as np
     n = fields[0].n
     exps = sorted({exp for f in fields for p in f.coefficients for exp in p.terms})
     column = {exp: t for t, exp in enumerate(exps)}
@@ -546,35 +545,54 @@ def _float_frame(fields):
 MAX_RK4_STEPS = 10 ** 6
 
 
-def _rk4(coeffs, exps, y0, t_total, step):
-    """Classic RK4 for x' = coeffs @ x^E from y0 over time t_total, in
-    ceil(|t_total| / step) equal steps; more than MAX_RK4_STEPS of them
-    raise ValueError before the first one."""
-    step = float(step)
+def _rk4_counts(times, step):
+    """ceil(|t| / step) per time, once the step and the times pass the checks."""
+    import numpy as np
+    step, t_max = float(step), float(np.abs(times).max(initial=0.0))  # nan stays nan
     if not 0 < step < math.inf:
         raise ValueError("RK4 step must be positive and finite, got %r" % step)
-    t_total = float(t_total)
-    if not math.isfinite(t_total):
-        raise ValueError("RK4 time must be finite, got %r" % t_total)
-    if abs(t_total) / step > MAX_RK4_STEPS:
+    if not math.isfinite(t_max):
+        raise ValueError("RK4 time must be finite, got %r" % t_max)
+    if t_max / step > MAX_RK4_STEPS:
         raise ValueError("RK4 over time %r with step %r needs more than %d steps"
-                         % (t_total, step, MAX_RK4_STEPS))
-    count = math.ceil(abs(t_total) / step)
-    h = t_total / max(count, 1)
-    x = np.array([float(v) for v in y0])
-    for _ in range(count):
-        k1 = coeffs @ _monomials(x, exps)
-        k2 = coeffs @ _monomials(x + 0.5 * h * k1, exps)
-        k3 = coeffs @ _monomials(x + 0.5 * h * k2, exps)
-        k4 = coeffs @ _monomials(x + h * k3, exps)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+                         % (t_max, step, MAX_RK4_STEPS))
+    return np.ceil(np.abs(times) / step)
+
+
+def _rk4(coeffs, exps, y0, times, step):
+    """Classic RK4 for x' = coeffs @ x^E on a stack: row s of y0 (S, n) takes
+    ceil(|t_s| / step) equal steps through time times[s], then stays put;
+    coeffs is (n, T), shared, or (S, n, T), one per row.  Checks come first,
+    and each row's velocity is the matrix-vector product a lone row takes."""
+    import numpy as np
+    times = np.asarray(times, dtype=float)
+    counts = _rk4_counts(times, step)
+    order = np.argsort(-counts, kind="stable")  # the moving rows are a prefix
+    times, counts = times[order], counts[order]
+    coeffs = coeffs[order] if coeffs.ndim == 3 else coeffs
+    if len(set(times.tolist())) == 1:  # one schedule: Python float constants
+        h = times[0].item() / max(int(counts[0]), 1)
+    else:
+        h = (times / np.maximum(counts, 1))[:, None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    x = out = np.array(y0, dtype=float)[order, :, None]  # (S, n, 1) columns
+    for i in range(int(counts.max(initial=0))):
+        if counts[len(x) - 1] <= i:  # rows whose steps are done stay put
+            moving = int((counts > i).sum())
+            x, h, half, sixth = x[:moving], h[:moving], half[:moving], sixth[:moving]
+            coeffs = coeffs[:moving] if coeffs.ndim == 3 else coeffs
+        k1 = coeffs @ (x.transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
+        k2 = coeffs @ ((x + half * k1).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
+        k3 = coeffs @ ((x + half * k2).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
+        k4 = coeffs @ ((x + h * k3).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
+        x += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out[np.argsort(order), :, 0]
 
 
 def numeric_flow(field, y, t_total, step=1e-3):
-    """Classic fixed-step RK4 endpoint of x' = X(x), x(0) = y."""
+    """Classic fixed-step RK4 endpoint of x' = X(x), x(0) = y (one _rk4 row)."""
     exps, coeffs = _float_frame([field])
-    return tuple(float(v) for v in _rk4(coeffs[0], exps, y, t_total, step))
+    return tuple(_rk4(coeffs[0], exps, [y], [t_total], step)[0].tolist())
 
 
 def combined_field(fields, xi):
@@ -611,6 +629,7 @@ class NumericChart:
     @classmethod
     def build(cls, frame, kind, degree=None, box=0.25, samples=None,
               step=1e-3, rng=None):
+        import numpy as np
         wv = frame.weights
         n = wv.n
         if degree is None:
@@ -629,20 +648,17 @@ class NumericChart:
             raise ValueError("%d samples cannot fit %d basis monomials"
                              % (count, len(basis)))
         sampler = ChartSampler(frame, kind, step)
-        xis = np.array([[rng.uniform(-box, box) for _ in range(n)]
-                        for _ in range(count)])
-        us = np.array([sampler.forward(xi) for xi in xis]) - sampler.base
-        a_mat = _monomials(us, np.array(basis, dtype=float))
+        xis = np.array([[rng.uniform(-box, box) for _ in range(n)] for _ in range(count)])
+        a_mat = _monomials(sampler(xis) - sampler.base, np.array(basis, dtype=float))
         coeffs, _, _, _ = np.linalg.lstsq(a_mat, xis, rcond=None)
         coeffs[np.abs(coeffs) < 1e-8] = 0.0
         return cls(kind, wv, tuple(frame.base_point), degree, box,
                    basis, coeffs, float(step), count)
 
     def evaluate(self, x):
-        u = np.array([float(v) for v in x]) - np.array(
-            [float(v) for v in self.base_point])
-        row = _monomials(u, np.array(self.basis, dtype=float))
-        return tuple(float(v) for v in row @ self.coeffs)
+        import numpy as np
+        u = np.array(x, dtype=float) - np.array(self.base_point, dtype=float)
+        return tuple((_monomials(u, np.array(self.basis, dtype=float)) @ self.coeffs).tolist())
 
 
 class ChartSampler:
@@ -654,19 +670,20 @@ class ChartSampler:
             raise ValueError("chart kind must be 'first' or 'second', got %r" % (kind,))
         self.kind = kind
         self.step = float(step)
-        self.base = np.array([float(v) for v in frame.base_point])
+        self.base = tuple(float(v) for v in frame.base_point)
         self._exps, self._coeffs = _float_frame(frame.fields)
 
-    def forward(self, xi):
-        """The endpoint x, as a float array, for a float array xi."""
-        if self.kind == "first":
-            return _rk4(np.tensordot(xi, self._coeffs, axes=1), self._exps,
-                        self.base, 1.0, self.step)
-        x = self.base
-        for j in reversed(range(len(xi))):
-            x = _rk4(self._coeffs[j], self._exps, x, xi[j], self.step)
-        return x
-
     def __call__(self, xi):
-        x = self.forward(np.array([float(v) for v in xi]))
-        return tuple(float(v) for v in x)
+        """The endpoint for one xi, as a tuple of floats, or for each row of
+        an (S, n) stack, as an (S, n) array from one stacked integration."""
+        import numpy as np
+        stack = np.atleast_2d(np.array(xi, dtype=float))
+        x = np.broadcast_to(self.base, stack.shape)
+        if self.kind == "first":
+            x = _rk4(np.einsum("sj,jkt->skt", stack, self._coeffs), self._exps,
+                     x, np.ones(len(stack)), self.step)
+        else:
+            _rk4_counts(stack, self.step)  # check every time before any step
+            for j in reversed(range(stack.shape[1])):
+                x = _rk4(self._coeffs[j], self._exps, x, stack[:, j], self.step)
+        return x if np.ndim(xi) == 2 else tuple(x[0].tolist())

@@ -60,12 +60,11 @@ def _privileged_inspection(pushed, exact):
     wv = pushed.weights
     ws = wv.weights
     n = wv.n
-    origin = (Fraction(0),) * n
     witnesses = []
     adapted = True
     models = [None] * n
     for j, field in enumerate(pushed.fields):
-        val = field.evaluate(origin)
+        val = PolyMap(field.coefficients).constant_part()
         unit = tuple(Fraction(1 if k == j else 0) for k in range(n))
         if val != unit:
             adapted = False
@@ -381,7 +380,8 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
 
     The residual g(xi) = eps(F(xi)) - xi is measured directly against the
     exact Carnot chart, so no polynomial fit enters the verdict; g must
-    raise every weight by m (slope test as in ow_scaling_test).
+    raise every weight by m (slope test as in ow_scaling_test).  F is
+    sampled at every dilated direction of the grid in one stacked call.
     """
     wv = frame.weights
     sampler = ChartSampler(frame, kind, step)
@@ -393,12 +393,11 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
         directions = [x0 for x0, _ in
                       random_osculation_directions(wv, n_directions, rng)]
 
-    def g(xi):
-        x = sampler(xi)
-        u = eps.apply(tuple(Fraction(v) for v in x))
-        return tuple(float(a) - float(b) for a, b in zip(u, xi))
-
-    return ow_scaling_test(g, m, wv.weights, wv.weights, directions, t_grid)
+    ws, ts = wv.weights, tuple(t_grid)
+    points = [dilate(d, t, ws) for d in directions for t in ts]
+    residual = {xi: tuple(float(a) - float(b) for a, b in zip(eps.apply(map(Fraction, x)), xi))
+                for xi, x in zip(points, sampler(points) if points else ())}
+    return ow_scaling_test(residual.__getitem__, m, ws, ws, directions, ts)
 
 
 def group_translation_identity(constants, base_point, sample_points):

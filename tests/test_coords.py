@@ -1,5 +1,7 @@
 from fractions import Fraction
+import random as random_mod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforwar
 from carnotkit.verify import (generate_adversarial_variants, generate_carnot_variants,
                               generate_privileged_variants,
                               random_homogeneous_triangular)
+from carnotkit import coords
 from carnotkit.coords import (
     MAX_RK4_STEPS, ChartSampler, CoordinateChange, NumericChart,
     canonical_first_kind, canonical_second_kind, combined_field,
@@ -603,3 +606,112 @@ def test_chart_sampler_matches_exact_forward_step3(name, kind, build, rng):
         got = sampler(xi)
         want = forward.evaluate(xi)
         assert max(abs(g - float(w)) for g, w in zip(got, want)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The stacked RK4 loop against the per-sample loop.
+# ---------------------------------------------------------------------------
+
+def _stack_cases():
+    """A catalog frame at a small base point and a stack of xi rows among
+    which are a zero row and rows of mixed signs and sizes, so the
+    per-coordinate times (and step counts) differ from row to row."""
+    def build(args):
+        name, base, rows = args
+        frame = catalog(name).frame
+        n = frame.n
+        return frame.at_base(base[:n]), [(0.0,) * n] + [row[:n] for row in rows]
+    row = st.tuples(*[st.sampled_from([0.0, 0.5, -0.5, 0.25, -0.3, 0.07, -0.013])
+                      for _ in range(5)])
+    return st.tuples(st.sampled_from(["heisenberg_3", "heisenberg_5", "engel_4",
+                                      "step3_filiform_5", "perturbed_heisenberg_3",
+                                      "perturbed_engel_4"]),
+                     points(5, 1, 4), st.lists(row, min_size=1, max_size=4)).map(build)
+
+
+@settings(max_examples=12)
+@given(_stack_cases(), st.sampled_from(["first", "second"]), st.sampled_from([1e-2, 3e-2]))
+def test_stacked_chart_sampler_matches_per_sample_loop(case, kind, step):
+    frame, xis = case
+    got = ChartSampler(frame, kind, step)(np.array(xis))
+    assert got.shape == (len(xis), frame.n)
+    for row, xi in zip(got, xis):
+        want = oracles.per_sample_chart_point(frame, kind, xi, step)
+        assert np.max(np.abs(row - want)) <= 1e-15
+    single = ChartSampler(frame, kind, step)(xis[-1])
+    assert single == tuple(got[-1].tolist())
+
+
+@settings(max_examples=10)
+@given(_stack_cases(), st.lists(st.sampled_from([0.0, 1.0, -0.4, 0.37, -0.05]),
+                                min_size=5, max_size=5))
+def test_stacked_rk4_with_per_row_tensors_and_times(case, times):
+    """One coefficient tensor and one time per row, as in a stack of
+    frames: rows keep their own step schedules."""
+    frame, xis = case
+    exps, coeffs = oracles.float_fields(frame.fields)
+    per_row = np.einsum("sj,jkt->skt", np.array(xis), coeffs)
+    starts = [[0.1 * (k + 1) for k in range(frame.n)]] * len(xis)
+    row_times = [times[s % len(times)] for s in range(len(xis))]
+    got = coords._rk4(per_row, exps, starts, row_times, 1e-2)
+    for s, row in enumerate(got):
+        want = oracles.per_sample_rk4(per_row[s], exps, starts[s], row_times[s], 1e-2)
+        assert np.max(np.abs(row - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("name, kind, directions, seed, passed", [
+    ("heisenberg_3", "first", 1, 5, False),       # the known round-off fault
+    ("perturbed_engel_4", "first", 1, 5, False),  # the known round-off fault
+    ("perturbed_heisenberg_3", "first", 2, 11, True),
+    ("engel_4", "second", 2, 3, False),
+])
+def test_numeric_report_matches_per_point_oracle(name, kind, directions, seed, passed):
+    from carnotkit.verify import numeric_chart_report, random_osculation_directions
+
+    frame = catalog(name).frame
+    eps = epsilon(frame)
+    report = numeric_chart_report(frame, kind, eps=eps, n_directions=directions,
+                                  rng=random_mod.Random(seed))
+    dirs = [x0 for x0, _ in random_osculation_directions(
+        frame.weights, directions, random_mod.Random(seed))]
+    want = oracles.per_point_chart_report(frame, kind, 1, eps, dirs)
+    assert report.passed is want.passed
+    assert [e.values for e in report.entries] == [e.values for e in want.entries]
+    for got_slope, want_slope in zip(report.slopes(), want.slopes()):
+        assert abs(got_slope - want_slope) <= 1e-9
+    assert report.passed is passed
+
+
+class _Unsteppable:
+    """Coefficients that fail the test if a step ever uses them."""
+    ndim = 2
+
+    def __matmul__(self, other):
+        raise AssertionError("an RK4 step ran before the checks")
+
+
+@pytest.mark.parametrize("times, step, match", [
+    ([0.5, -0.25, 0.0], 0.0, "step"),
+    ([0.5, -0.25, 0.0], float("nan"), "step"),
+    ([0.5, float("nan"), 0.0], 1e-3, "time must be finite"),
+    ([0.5, 0.1, float("-inf")], 1e-3, "time must be finite"),
+    ([0.5, (MAX_RK4_STEPS + 1) * 1e-3, 0.0], 1e-3, "more than %d steps" % MAX_RK4_STEPS),
+])
+def test_stacked_rk4_checks_every_row_before_any_step(h3_frame, monkeypatch, times, step, match):
+    exps, _ = oracles.float_fields(h3_frame.fields)
+    with pytest.raises(ValueError, match=match):
+        coords._rk4(_Unsteppable(), exps, [[0.0, 0.0, 0.0]] * 3, times, step)
+    stack = np.array([[times[1], 0.2, 0.1], [times[2], 0.0, -0.3], [times[0], 0.1, 0.1]])
+    if match == "step":  # first-kind times are all one
+        with pytest.raises(ValueError, match=match):
+            ChartSampler(h3_frame, "first", step)(stack)
+    # the second kind runs one stacked flow per coordinate, X_3 first: a bad
+    # time in the first column must still stop it before the first flow
+    monkeypatch.setattr(coords, "_rk4", _Unsteppable().__matmul__)
+    with pytest.raises(ValueError, match=match):
+        ChartSampler(h3_frame, "second", step)(stack)
+
+
+def test_stacked_sampler_accepts_an_empty_stack(h3_frame):
+    for kind in ("first", "second"):
+        assert ChartSampler(h3_frame, kind)(np.zeros((0, 3))).shape == (0, 3)

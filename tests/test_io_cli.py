@@ -206,6 +206,32 @@ def test_cli_pipe_subprocess():
     assert json.loads(second.stdout)["product"] == ["1", "1", "1/2"]
 
 
+def test_only_numeric_commands_load_numpy():
+    """In a fresh interpreter, importing the package and running exact
+    commands leaves numpy unloaded; a numeric chart loads it."""
+    here = str(Path(carnotkit.__file__).resolve().parents[1])
+    script = """
+import contextlib, io, json, sys
+import carnotkit
+from carnotkit import cli
+loaded = ["numpy" in sys.modules]
+for argv in (["epsilon", "heisenberg_3"],
+             ["check-carnot", "heisenberg_3", "--change", "epsilon"],
+             ["canonical1", "perturbed_heisenberg_3", "--numeric",
+              "--samples", "20", "--step", "0.01"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [here, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [False, False, False, True]
+
+
 def test_cli_epsilon_then_check_carnot(capsys, tmp_path):
     assert cli.main(["epsilon", "heisenberg_3", "--base", "1,2,3"]) == 0
     doc = capsys.readouterr().out
