@@ -9,6 +9,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from operator import add
 
+from . import linalg
 from .graded import WeightVector, as_weights, weighted_degree
 
 
@@ -477,52 +478,47 @@ class TriangularMap(PolyMap):
 
 
 def invert_weight_triangular(m, weights, max_weight=None):
-    """Inverse of a square map with components x_k + q_k, by sweeps
-    g_k <- y_k - q_k(g) in increasing weight order.
+    """Inverse of a square map with components x_k + q_k.
 
     When every q_k involves only variables of weight < w_k (constants are
-    allowed), one sweep gives the exact inverse.  Otherwise some q_k raises
-    the weight and only a truncated inverse exists, so ``max_weight`` is
-    required: the sweeps are clipped to weighted degree <= max_weight and
-    repeat until g stops changing, and the result satisfies m(g(y)) = y
-    modulo monomials of weighted degree > max_weight (checked; a failure
-    raises ArithmeticError).  Raises ValueError on a linear term x_j with
-    w_j = w_k and, when truncating, on a constant term.
+    allowed), one sweep g_k <- y_k - q_k(g) in increasing weight order gives
+    the exact inverse.  Otherwise some q_k raises the weight and only a
+    truncated inverse exists, so ``max_weight`` is required.  With m = L + N,
+    L linear and N the terms of two or more factors, g = L^{-1}(y - N(g)):
+    g has no constant terms, so layer d (weighted degree d) of N(g) reads
+    only the layers of g below d, and the pass for d = 1, ..., max_weight
+    with N(g) clipped at d fixes layer d.  m(g(y)) = y modulo weighted
+    degree > max_weight is checked (ArithmeticError).  Raises ValueError on
+    a linear term x_j with w_j = w_k, a singular L or a truncated constant.
     """
     comps = m.components if isinstance(m, PolyMap) else list(m)
     ws = as_weights(weights)
     tails, ranks = weight_shape(comps, ws)
     n = len(ws)
-    order = sorted(range(n), key=lambda i: ws[i])
     ident = [RationalPoly.variable(n, j) for j in range(n)]
-    g = list(ident)
-    exact = all(rank < 2 for rank in ranks)
-    if not exact:
-        if max_weight is None:
-            raise ValueError("no exact inverse; pass max_weight to truncate")
-        if max_weight < max(ws):
-            raise ValueError("max_weight must be at least the largest weight")
-        if any((0,) * n in q.terms for q in tails):
-            raise ValueError("a constant term leaves no truncated inverse")
-    bound = None if exact else max_weight
-    # Once the layers of total degree below D are exact, layer D settles
-    # within one sweep per distinct weight: a weight-raising linear term
-    # hands an error down one weight level per sweep.  g has at most
-    # max_weight layers, and the last sweep confirms that nothing changed.
-    # (Linear terms of lower weight mixed with raising ones can defeat
-    # this; the residual check below then fails.)
-    for _ in range(1 if exact else max_weight * len(set(ws)) + 1):
-        before = list(g)
-        for k in order:
-            g[k] = ident[k] - tails[k].substitute(g, ws, bound)
-        if g == before:
-            break
+    if all(rank < 2 for rank in ranks):
+        g = list(ident)
+        for k in sorted(range(n), key=lambda i: ws[i]):
+            g[k] = ident[k] - tails[k].substitute(g)
+        return PolyMap(g)
+    if max_weight is None:
+        raise ValueError("no exact inverse; pass max_weight to truncate")
+    if max_weight < max(ws):
+        raise ValueError("max_weight must be at least the largest weight")
+    if any((0,) * n in q.terms for q in tails):
+        raise ValueError("a constant term leaves no truncated inverse")
+    l_inv = linalg.mat_inv(PolyMap(comps).linear_matrix())
+    nonlinear = [RationalPoly._from_terms(n, {e: c for e, c in q.terms.items() if sum(e) > 1})
+                 for q in tails]
+    g = [RationalPoly.zero(n)] * n
+    for d in range(1, max_weight + 1):
+        rhs = [y - q.substitute(g, ws, d) for y, q in zip(ident, nonlinear)]
+        g = [sum((p * c for p, c in zip(rhs, row) if c), RationalPoly.zero(n))
+             for row in l_inv]
     g = PolyMap(g)
-    if exact:
-        return g
-    residual = PolyMap(comps).compose(g, ws, max_weight) - PolyMap.identity(n)
-    if any(not c.is_zero for c in residual.components):
-        raise ArithmeticError("truncated inversion failed to stabilize")
+    if PolyMap(comps).compose(g, ws, max_weight) != PolyMap.identity(n):
+        raise ArithmeticError("truncated inverse fails its residual check: m(g(y)) - y "
+                              "has terms of weighted degree <= %d" % max_weight)
     return g
 
 

@@ -11,10 +11,10 @@ from .coords import ChartSampler, epsilon, transform_frame
 from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
                      iter_weighted_exponents, ow_scaling_test, ow_violations,
                      weighted_degree)
-from .groups import (group_product, left_invariant_fields,
+from .groups import (group_frame, group_product, left_invariant_fields,
                      model_structure_constants)
 from .poly import PolyMap, RationalPoly, TriangularMap, invert_weight_triangular, monomial_str
-from .vfields import DegenerateFrameError, Frame, expand
+from .vfields import DegenerateFrameError, Frame, expand, function_order
 
 
 class VerificationReport:
@@ -44,14 +44,14 @@ def _push_through(frame, change):
     if change.apply(frame.base_point) != origin:
         raise ValueError("change does not map the frame's base point to the "
                          "origin; center the chart first")
-    exact = change.is_exactly_invertible
+    # transform_frame ignores the bound when the change inverts exactly.
     # A weight-W truncated inverse is exact below weight W+1, and every
     # substitution error then carries weight >= W+1 into the pushed
     # coefficients.  The verdicts only read coefficient monomials of
     # weighted degree <= w_k <= r (parts of homogeneous degree <= 0),
     # and no route brackets truncated fields, so r + 2 leaves margin.
-    bound = None if exact else frame.weights.r + 2
-    return transform_frame(frame, change, bound), exact
+    return (transform_frame(frame, change, frame.weights.r + 2),
+            change.is_exactly_invertible)
 
 
 def _privileged_inspection(pushed, exact):
@@ -84,7 +84,6 @@ def _privileged_inspection(pushed, exact):
             models[j] = parts[-ws[j]]
     ok = not witnesses
     if exact and adapted:
-        from .vfields import function_order
         orders = []
         orders_ok = True
         for k in range(n):
@@ -403,8 +402,6 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
 def group_translation_identity(constants, base_point, sample_points):
     """On the group's own frame, the Carnot chart at a is exactly
     x -> (-a) . x.  Returns the list of mismatches (empty when exact)."""
-    from .groups import group_frame
-
     frame = group_frame(constants, base_point)
     eps = epsilon(frame)
     minus_a = tuple(-Fraction(v) for v in base_point)

@@ -345,6 +345,38 @@ def step2_log_instance():
 
 
 # ---------------------------------------------------------------------------
+# The truncated inverse by fixed-point sweeps, and an exact determinant.
+# ---------------------------------------------------------------------------
+
+def sweep_truncated_inverse(m, ws, max_weight):
+    """The inverse of m modulo weighted degree > max_weight by whole sweeps
+    g_k <- y_k - q_k(g) in increasing weight order, clipped at max_weight
+    and repeated until g stops changing, at most max_weight * (number of
+    distinct weights) + 1 times.  Returns None when the sweeps do not settle
+    on an inverse modulo the bound."""
+    n = len(ws)
+    ident = [RationalPoly.variable(n, j) for j in range(n)]
+    tails = [c - x for c, x in zip(m.components, ident)]
+    g = list(ident)
+    for _ in range(max_weight * len(set(ws)) + 1):
+        before = list(g)
+        for k in sorted(range(n), key=lambda i: ws[i]):
+            g[k] = ident[k] - tails[k].substitute(g, ws, max_weight)
+        if g == before:
+            break
+    g = PolyMap(g)
+    return g if m.compose(g, ws, max_weight) == PolyMap.identity(n) else None
+
+
+def determinant(rows):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * c * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, c in enumerate(rows[0]) if c), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
 # One-stage pushes: the change expanded about the base point as a whole.
 # ---------------------------------------------------------------------------
 

@@ -7,10 +7,11 @@ from carnotkit.graded import WeightVector
 from carnotkit.poly import (
     PolyMap, RationalPoly, TriangularMap, invert_perturbed_triangular,
     invert_triangular, invert_weight_triangular, monomial_str,
-    take_weight_le, truncate_weight,
+    take_weight_le, truncate_weight, weight_shape,
 )
 
 from conftest import fractions, points, small_polys
+from oracles import determinant, sweep_truncated_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +162,11 @@ STEP3_WEIGHTS = [(1, 1, 2, 3), (1, 2, 3), (1, 1, 2, 3, 3)]
 
 
 @st.composite
-def step3_unipotent_maps(draw, raising):
+def step3_unipotent_maps(draw, raising, lowering=False):
     """Component k is x_k plus products of two or three variables of weight
     below w_k and then, when ``raising``, possibly a linear x_j with
-    w_j > w_k and a product x_i x_j with w_j >= w_k, else possibly a
-    constant."""
+    w_j > w_k, when also ``lowering`` a linear x_j with w_j < w_k, and a
+    product x_i x_j with w_j >= w_k, else possibly a constant."""
     ws = draw(st.sampled_from(STEP3_WEIGHTS))
     n = len(ws)
     xs = [RationalPoly.variable(n, j) for j in range(n)]
@@ -183,6 +184,8 @@ def step3_unipotent_maps(draw, raising):
             higher = [j for j in range(n) if ws[j] > ws[k]]
             if higher and draw(st.booleans()):
                 comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(higher))]
+            if lowering and lower and draw(st.booleans()):
+                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(lower))]
             if draw(st.booleans()):
                 j = draw(st.sampled_from([j for j in range(n) if ws[j] >= ws[k]]))
                 i = draw(st.integers(0, n - 1))
@@ -199,6 +202,40 @@ def test_kernel_inverts_modulo_the_bound(mws, extra):
     bound = max(ws) + extra
     g = invert_weight_triangular(m, ws, bound)
     assert m.compose(g, ws, bound) == PolyMap.identity(len(ws))
+    # the layered solve gives what the fixed-point sweeps give; an exact
+    # inverse equals them once clipped
+    want = sweep_truncated_inverse(m, ws, bound)
+    _, ranks = weight_shape(m.components, ws)
+    assert want is not None
+    assert (g if max(ranks) == 2 else truncate_weight(g, ws, bound)) == want
+
+
+@given(step3_unipotent_maps(raising=True, lowering=True), st.integers(0, 2))
+def test_layered_inverse_takes_any_invertible_linear_part(mws, extra):
+    m, ws = mws
+    bound = max(ws) + extra
+    if determinant(m.linear_matrix()) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert_weight_triangular(m, ws, bound)
+    else:
+        g = invert_weight_triangular(m, ws, bound)
+        assert m.compose(g, ws, bound) == PolyMap.identity(len(ws))
+
+
+def test_layered_inverse_mixes_lower_weight_and_raising_linear_terms():
+    x1, x2, x3 = (RationalPoly.variable(3, k) for k in range(3))
+    m = PolyMap([x1 + x3, x2, x3 + 2 * x1])
+    for bound in (2, 4):
+        # sweeps g1 <- y1 - g3, g3 <- y3 - 2 g1 double their error each time
+        assert sweep_truncated_inverse(m, (1, 1, 2), bound) is None
+        assert (invert_weight_triangular(m, (1, 1, 2), bound)
+                == PolyMap([x3 - x1, x2, 2 * x1 - x3]))
+
+
+def test_layered_inverse_rejects_a_singular_linear_part():
+    x1, x2, x3 = (RationalPoly.variable(3, k) for k in range(3))
+    with pytest.raises(ValueError, match="singular"):
+        invert_weight_triangular(PolyMap([x1 + x3, x2, x3 + x1]), (1, 1, 2), 4)
 
 
 @given(step3_unipotent_maps(raising=False), st.integers(0, 2))
