@@ -210,37 +210,40 @@ def group_product(x, y, constants):
     """The polynomial group law x . y from the truncated Dynkin series.
 
     Exact for rational points; also works with polynomial entries, which is
-    how the symbolic law is built.
+    how the symbolic law is built.  Words share suffixes, so each distinct
+    suffix's vector ad_{s[0]}(vec(s[1:])) is formed once per call; a zero
+    suffix (None in the memo) kills every word that ends in it.
     """
-    _require_valid(constants)
     n = constants.n
-    ax = _ad_rows(constants, x)
-    ay = _ad_rows(constants, y)
+    if len(x) != n or len(y) != n:
+        raise ValueError("points must have dimension %d" % n)
+    _require_valid(constants)
+    ads = {"x": _ad_rows(constants, x), "y": _ad_rows(constants, y)}
+    vecs = {"x": x, "y": y}
+
+    def vec(s):
+        if s not in vecs:
+            v = vec(s[1:]) if ads[s[0]] else None  # ad_x = 0: x is zero or central
+            if v is not None:
+                v, alive = _ad_apply(ads[s[0]], v, n)
+                v = v if alive else None
+            vecs[s] = v
+        return vecs[s]
+
     out = list(x[k] + y[k] for k in range(n))
     for coef, letters in dynkin_words(constants.step):
-        if len(letters) == 1:
-            continue  # the bare x + y is seeded above
-        v = list(x if letters[-1] == "x" else y)
-        alive = True
-        for ch in reversed(letters[:-1]):
-            v, alive = _ad_apply(ax if ch == "x" else ay, v, n)
-            if not alive:
-                break
-        if not alive:
-            continue
-        for k in range(n):
-            if v[k]:
-                out[k] = out[k] + coef * v[k]
+        v = vec(letters) if len(letters) > 1 else None  # x + y is seeded above
+        if v is not None:
+            for k in range(n):
+                if v[k]:
+                    out[k] = out[k] + coef * v[k]
     return tuple(out)
 
 
 def dynkin_product(x, y, constants):
     """Exact group product of two rational points."""
-    xs = tuple(Fraction(c) for c in x)
-    ys = tuple(Fraction(c) for c in y)
-    if len(xs) != constants.n or len(ys) != constants.n:
-        raise ValueError("points must have dimension %d" % constants.n)
-    return group_product(xs, ys, constants)
+    return group_product(tuple(Fraction(c) for c in x),
+                         tuple(Fraction(c) for c in y), constants)
 
 
 def group_inverse(x):
@@ -260,31 +263,31 @@ def dynkin_symbolic(constants):
     return PolyMap(comps)
 
 
-def _drop_second_block(poly, n):
-    """Restrict a 2n-variable polynomial to the first block, requiring the
-    second block's variables to be absent."""
-    terms = {}
-    for exp, c in poly.terms.items():
-        if any(exp[n:]):
-            raise ValueError("polynomial still involves the second block")
-        terms[exp[:n]] = c
-    return RationalPoly(n, terms)
-
-
 # The memo keeps the most recently used algebras: a caller works on a
 # handful at a time, and a stream of fresh algebras must not grow the
 # process without bound.  Its polynomials are shared, so callers copy them.
 @lru_cache(maxsize=32)
 def _invariant_coefficients(constants):
-    """Rows b_jk(x) = d(x . y)_k / dy_j |_{y=0} of the symbolic law."""
+    """Rows X_j(x) = psi(ad_x) e_j = sum_k c_k ad_x^k e_j of the left-invariant
+    frame, with c_k the Taylor coefficients of psi(z) = z / (1 - e^{-z})."""
     n = constants.n
-    z = dynkin_symbolic(constants)
-    origin_y = [RationalPoly.variable(2 * n, j) for j in range(n)] + \
-               [RationalPoly.zero(2 * n) for _ in range(n)]
-    return tuple(
-        tuple(_drop_second_block(z.components[k].partial(n + j).substitute(origin_y), n)
-              for k in range(n))
-        for j in range(n))
+    # c inverts the series 1 / psi(z) = (1 - e^{-z}) / z = sum_i (-1)^i z^i / (i + 1)!
+    c = [Fraction(1)]
+    for m in range(1, constants.step):
+        c.append(-sum(Fraction((-1) ** i, math.factorial(i + 1)) * c[m - i]
+                      for i in range(1, m + 1)))
+    ad = _ad_rows(constants, [RationalPoly.variable(n, i) for i in range(n)])
+    rows = []
+    for j in range(n):
+        v = [Fraction(int(i == j)) for i in range(n)]
+        row = [RationalPoly.const(n, a) for a in v]
+        for ck in c[1:]:
+            v, alive = _ad_apply(ad, v, n)
+            if not alive:
+                break
+            row = [r + ck * a if a and ck else r for r, a in zip(row, v)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def left_invariant_fields(constants):

@@ -158,8 +158,9 @@ def crit06_epsilon_carnot(rng):
 
 
 def crit07_group_translation(rng):
-    """On group frames the chart at a is exactly x -> (-a) . x."""
-    pairs = 0
+    """On group frames the chart at a is exactly x -> (-a) . x, as a
+    polynomial identity in x and at sample points."""
+    pairs = identities = 0
     for name in ("heisenberg_3", "engel_4"):
         sc = catalog(name).constants
         for _ in range(5):
@@ -171,13 +172,15 @@ def crit07_group_translation(rng):
                 return False, ("%s at a=%s, x=%s: chart gives %s, translation "
                                "gives %s" % (name, a, x, got, want))
             pairs += len(xs)
+            identities += 1
     sc = catalog("heisenberg_3").constants
     a = (Fraction(1), Fraction(2), Fraction(3))
     x = (Fraction(4), Fraction(6), Fraction(10))
     got = epsilon(group_frame(sc, a)).apply(x)
     if got != (Fraction(3), Fraction(4), Fraction(8)):
         return False, "frozen instance: chart at (1,2,3) sends (4,6,10) to %s" % (got,)
-    return True, "%d translation identities plus the frozen instance" % pairs
+    return True, ("%d translations as polynomial identities in x, %d at sample "
+                  "points, plus the frozen instance" % (identities, pairs))
 
 
 def _random_step2_frame(rng):

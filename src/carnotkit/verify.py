@@ -401,7 +401,9 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
 
 def group_translation_identity(constants, base_point, sample_points):
     """On the group's own frame, the Carnot chart at a is exactly
-    x -> (-a) . x.  Returns the list of mismatches (empty when exact)."""
+    x -> (-a) . x: at each sample point, and as one polynomial identity in
+    x, whose mismatch is listed last with the coordinate variables as its
+    point.  Returns the list of mismatches (empty when exact)."""
     frame = group_frame(constants, base_point)
     eps = epsilon(frame)
     minus_a = tuple(-Fraction(v) for v in base_point)
@@ -411,4 +413,10 @@ def group_translation_identity(constants, base_point, sample_points):
         want = group_product(minus_a, tuple(Fraction(v) for v in x), constants)
         if got != want:
             bad.append((x, got, want))
+    n = constants.n
+    xs = tuple(RationalPoly.variable(n, j) for j in range(n))
+    got = eps.change.forward_polymap()
+    want = PolyMap(group_product([RationalPoly.const(n, c) for c in minus_a], xs, constants))
+    if got != want:
+        bad.append((xs, got.components, want.components))
     return bad

@@ -84,6 +84,48 @@ def left_invariant_vectors(constants, n, point):
 
 
 # ---------------------------------------------------------------------------
+# The Dynkin series word by word, and the frame as the law's derivative.
+# ---------------------------------------------------------------------------
+
+def per_word_group_product(constants, n, x, y):
+    """x . y as sum over the words (coef, letters) of dynkin_words(step) of
+    coef * [l_1, [l_2, ... [l_{m-1}, l_m]]], each word bracketed on its own
+    from the right with no sharing between words.  Entries may be
+    Fractions or polynomials."""
+    from carnotkit.groups import dynkin_words
+
+    vec = {"x": list(x), "y": list(y)}
+    out = [x[k] + y[k] for k in range(n)]
+    for coef, letters in dynkin_words(constants.weights.r):
+        if len(letters) == 1:
+            continue
+        v = vec[letters[-1]]
+        for ch in reversed(letters[:-1]):
+            v = abstract_bracket(constants, n, vec[ch], v)
+        out = [o + w * coef for o, w in zip(out, v)]
+    return out
+
+
+def symbolic_law_frame(constants, n):
+    """Rows b_jk(x) = d(x . y)_k / dy_j at y = 0 of the per-word law in the
+    2n variables (x, y), as polynomials in the n variables x."""
+    xs = [RationalPoly.variable(2 * n, j) for j in range(n)]
+    ys = [RationalPoly.variable(2 * n, n + j) for j in range(n)]
+    law = per_word_group_product(constants, n, xs, ys)
+    rows = []
+    for j in range(n):
+        row = []
+        for z in law:
+            terms = {}
+            for exp, c in z.partial(n + j).terms.items():
+                if not any(exp[n:]):
+                    terms[exp[:n]] = c
+            row.append(RationalPoly(n, terms))
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # Dense validation of a structure-constant table.
 # ---------------------------------------------------------------------------
 

@@ -286,3 +286,116 @@ def test_catalog_names_cover_the_demos():
         assert catalog(family).constants.n == int(family.rsplit("_", 1)[1])
     with pytest.raises(KeyError):
         catalog("no_such_group")
+
+
+# ---------------------------------------------------------------------------
+# Shared ad-chains: the product against the per-word series, the frame
+# against the derivative of the symbolic law.
+# ---------------------------------------------------------------------------
+
+def _rescaled(sc, scales):
+    """Constants of the basis f_i = c_i e_i: c_i c_j / c_k L_ij^k."""
+    return StructureConstants(sc.weights, {
+        (i, j, k): v * scales[i] * scales[j] / scales[k]
+        for (i, j, k), v in sc.table.items()})
+
+
+@st.composite
+def rescaled_scale_algebras(draw):
+    """free2_3..5 or filiform_5..8 (steps 2-7) in a basis rescaled by
+    nonzero rationals of random sign."""
+    name = draw(st.sampled_from(["free2_3", "free2_4", "free2_5", "filiform_5",
+                                 "filiform_6", "filiform_7", "filiform_8"]))
+    kind, size = name.rsplit("_", 1)
+    sc = {"free2": _free2, "filiform": _filiform}[kind](int(size))
+    scales = draw(st.lists(fractions(4, 3).filter(bool),
+                           min_size=sc.n, max_size=sc.n))
+    return _rescaled(sc, scales)
+
+
+@given(rescaled_scale_algebras(), st.data())
+def test_product_matches_per_word_series_on_rational_points(sc, data):
+    n = sc.n
+    x, y = data.draw(points(n)), data.draw(points(n))
+    got = group_product(x, y, sc)
+    assert got == tuple(oracles.per_word_group_product(sc, n, x, y))
+    assert dynkin_product(x, y, sc) == got
+    if sc.step <= 4:
+        assert got == tuple(oracles.bch_product(sc, n, list(x), list(y)))
+
+
+@given(rescaled_scale_algebras(), st.data())
+def test_product_matches_per_word_series_on_polynomial_entries(sc, data):
+    n = sc.n
+    # linear entries in two variables keep the degree-7 products small
+    entry = st.tuples(fractions(3, 2), fractions(3, 2)).map(
+        lambda c: RationalPoly(2, {(1, 0): c[0], (0, 1): c[1]}))
+    x = data.draw(st.lists(entry, min_size=n, max_size=n))
+    y = data.draw(st.lists(entry, min_size=n, max_size=n))
+    got = group_product(x, y, sc)
+    assert list(got) == oracles.per_word_group_product(sc, n, x, y)
+    if sc.step <= 4:
+        assert list(got) == oracles.bch_product(sc, n, x, y)
+
+
+@given(rescaled_scale_algebras())
+def test_symbolic_law_matches_per_word_series(sc):
+    n = sc.n
+    xs = [RationalPoly.variable(2 * n, j) for j in range(2 * n)]
+    want = oracles.per_word_group_product(sc, n, xs[:n], xs[n:])
+    assert dynkin_symbolic(sc).components == want
+
+
+@given(rescaled_scale_algebras(), st.data())
+def test_left_invariant_fields_match_the_law_derivative(sc, data):
+    n = sc.n
+    fields = left_invariant_fields(sc)
+    assert [f.coefficients for f in fields] == oracles.symbolic_law_frame(sc, n)
+    if sc.step <= 4:
+        pt = data.draw(points(n))
+        rows = oracles.left_invariant_vectors(sc, n, pt)
+        assert [list(f.evaluate(pt)) for f in fields] == rows
+
+
+def test_product_applies_ad_once_per_distinct_suffix(monkeypatch):
+    import carnotkit.groups as groups
+    calls = []
+    real = groups._ad_apply
+    monkeypatch.setattr(groups, "_ad_apply",
+                        lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(8)
+    for sc in (_free2(4), _filiform(6), _filiform(8)):
+        suffixes = {w[i:] for _, w in dynkin_words(sc.step)
+                    for i in range(len(w) - 1)}
+        del calls[:]
+        group_product(_rand_point(rng, sc.n), _rand_point(rng, sc.n), sc)
+        assert 0 < len(calls) <= len(suffixes)
+    # filiform_8 has step 7: 104 words, 534 ad applications word by word
+    assert len(suffixes) == 126
+
+
+def test_left_invariant_fields_carry_the_psi_coefficients():
+    # on filiform_8, ad_x^k e_2 = x_1^k e_(k+2), so (X_2)_(k+2) = c_k x_1^k
+    psi = [1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0,
+           Fraction(1, 30240)]
+    x2 = left_invariant_fields(_filiform(8))[1].coefficients
+    for k, c in enumerate(psi):
+        assert x2[k + 1] == RationalPoly.monomial(8, (k,) + (0,) * 7, c)
+
+
+def test_abelian_product_is_the_sum_without_ad(monkeypatch):
+    import carnotkit.groups as groups
+    monkeypatch.setattr(groups, "_ad_apply", lambda *a: pytest.fail("ad applied"))
+    rng = random.Random(2)
+    for sc in (catalog("abelian_3").constants, StructureConstants((1, 2, 3), {})):
+        x, y = _rand_point(rng, 3), _rand_point(rng, 3)
+        assert group_product(x, y, sc) == tuple(a + b for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("product", [group_product, dynkin_product])
+def test_products_reject_points_of_the_wrong_length(product):
+    sc = catalog("heisenberg_3").constants
+    for x, y in [((1, 2, 3, 4), (1, 2, 3)), ((1, 2, 3), (1, 2, 3, 4)),
+                 ((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2))]:
+        with pytest.raises(ValueError, match="dimension 3"):
+            product(x, y, sc)

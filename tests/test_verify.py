@@ -291,3 +291,19 @@ def test_group_translation_identity(group_entry, rng):
                      for _ in range(n)) for _ in range(4)]
     assert group_translation_identity(group_entry.constants, base,
                                       samples) == []
+
+
+def test_group_translation_identity_reports_a_planted_law(monkeypatch):
+    import carnotkit.groups as groups
+    real = groups.dynkin_words
+    # drop the last word of the step-3 series, -1/18 [x, [y, x]]
+    monkeypatch.setattr(groups, "dynkin_words", lambda step: real(step)[:-1])
+    sc = catalog("engel_4").constants
+    a = (Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3))
+    bad = group_translation_identity(sc, a, [])
+    assert len(bad) == 1
+    x, got, want = bad[0]
+    assert x == tuple(RationalPoly.variable(4, j) for j in range(4))
+    assert got[:3] == want[:3] and got[3] != want[3]
+    point = (Fraction(2), Fraction(1), Fraction(-1), Fraction(5, 3))
+    assert [b[0] for b in group_translation_identity(sc, a, [point])] == [point, x]
