@@ -18,7 +18,7 @@ import random
 import sys
 
 from . import io
-from .coords import (CoordinateChange, canonical_first_kind,
+from .coords import (CoordinateChange, NumericChart, canonical_first_kind,
                      canonical_second_kind, epsilon, linearize, psi_map)
 from .groups import catalog, catalog_names, dynkin_product, validate_algebra
 from .poly import PolyMap
@@ -216,6 +216,8 @@ def cmd_order(args):
     else:
         _fail(2, "pass --coordinate K or --poly '<json>'")
     bound = args.bound if args.bound is not None else frame.step + 1
+    if bound < 1:
+        _fail(2, "--bound must be at least 1, got %d" % bound)
     order = function_order(f, frame, n_max=bound)
     _emit({"function": label, "order": order, "bound": bound,
            "note": None if order is not None
@@ -223,17 +225,17 @@ def cmd_order(args):
     return 0
 
 
-def _canonical(args, kind_fn):
+def _canonical(args, kind, exact_chart):
     frame = _as_frame(*_read_source(args.input), base=args.base)
     if args.numeric:
         seed = _seed(args)
         rng = random.Random(seed) if seed is not None else None
-        chart = kind_fn(frame, mode="numeric", degree=args.degree,
-                        samples=args.samples, box=args.box, step=args.step,
-                        rng=rng)
-        _emit(io.numeric_chart_obj(chart.numeric))
+        chart = NumericChart.build(frame, kind, degree=args.degree,
+                                   samples=args.samples, box=args.box,
+                                   step=args.step, rng=rng)
+        _emit(io.numeric_chart_obj(chart))
         return 0
-    chart = kind_fn(frame)
+    chart = exact_chart(frame)
     _emit(io.change_document(chart.change, {
         "forward": {"components": [io.poly_to_obj(c)
                                    for c in chart.forward.components]}}))
@@ -241,11 +243,11 @@ def _canonical(args, kind_fn):
 
 
 def cmd_canonical1(args):
-    return _canonical(args, canonical_first_kind)
+    return _canonical(args, "first", canonical_first_kind)
 
 
 def cmd_canonical2(args):
-    return _canonical(args, canonical_second_kind)
+    return _canonical(args, "second", canonical_second_kind)
 
 
 def _check(args, checker):
@@ -266,6 +268,8 @@ def cmd_check_carnot(args):
 
 def cmd_osculate(args):
     frame = _as_frame(*_read_source(args.input), base=args.base)
+    if args.directions < 1:
+        _fail(2, "--directions must be at least 1, got %d" % args.directions)
     seed = _seed(args, required=True)
     rng = random.Random("carnotkit:osculate:%d" % seed)
     report = osculation_report(frame, n_directions=args.directions, rng=rng)

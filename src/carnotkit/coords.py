@@ -20,7 +20,8 @@ from .graded import (WeightVector, as_weights, iter_weighted_exponents,
 from .groups import model_structure_constants
 from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
                    invert_weight_triangular, term_sort_key, weight_shape)
-from .vfields import Frame, PolyVectorField, expand, model_field, pushforward
+from .vfields import (Frame, PolyVectorField, adaptation_defect, expand,
+                      model_field, pushforward)
 
 
 def _affine_polymap(matrix, shift):
@@ -181,8 +182,7 @@ def psi_map(frame):
     if frame.base_point != origin:
         raise ValueError("psi_map expects the frame to be based at the origin")
     for j, x_field in enumerate(frame.fields):
-        unit = tuple(Fraction(1 if k == j else 0) for k in range(n))
-        if x_field.evaluate(origin) != unit:
+        if adaptation_defect(x_field, j) is not None:
             raise ValueError("frame is not linearly adapted at the origin "
                              "(field %d)" % (j + 1))
     comps = []
@@ -338,24 +338,21 @@ def log_map(m):
 
 
 class EpsilonResult:
-    """Everything the epsilon pipeline produces.
+    """The epsilon chart and the parts of its pipeline that callers read.
 
-    ``change`` is the chart m(x) = eps_hat((B^t)^{-1}(x - a)); the pieces
-    (affine adaptation, psi, model fields, phi = log of their exponential)
-    are kept for inspection and reuse.  The frame in Carnot coordinates is
-    pushed through phi on first read.
+    ``change`` is the chart m(x) = eps_hat((B^t)^{-1}(x - a)); the model
+    fields, their exponential, phi = its logarithm, their structure
+    constants and the privileged frame are kept for inspection and reuse.
+    The frame in Carnot coordinates is pushed through phi on first read.
     """
 
-    def __init__(self, change, affine, psi, model_fields, exp_model, phi,
-                 constants, adapted_frame, privileged_frame):
+    def __init__(self, change, model_fields, exp_model, phi, constants,
+                 privileged_frame):
         self.change = change
-        self.affine = affine
-        self.psi = psi
         self.model_fields = model_fields
         self.exp_model = exp_model
         self.phi = phi
         self.constants = constants
-        self.adapted_frame = adapted_frame
         self.privileged_frame = privileged_frame
 
     @cached_property
@@ -391,9 +388,8 @@ def epsilon(frame):
     phi = invert_triangular(exp_model)
     change = CoordinateChange(affine.matrix, affine.offset, wv, phi.compose(psi))
     privileged_frame = Frame(privileged_fields, wv, (0,) * wv.n, check=False)
-    return EpsilonResult(change, affine, psi, models, exp_model, phi,
-                         model_structure_constants(models, wv), adapted,
-                         privileged_frame)
+    return EpsilonResult(change, models, exp_model, phi,
+                         model_structure_constants(models, wv), privileged_frame)
 
 
 def convert_nilpotent_approx(models, targets, weights):
@@ -408,13 +404,11 @@ def convert_nilpotent_approx(models, targets, weights):
     wv = WeightVector(weights)
     ws = wv.weights
     n = wv.n
-    origin = (Fraction(0),) * n
     for label, basis in (("source", models), ("target", targets)):
         if len(basis) != n:
             raise ValueError("%s basis must have %d fields" % (label, n))
         for j, x_field in enumerate(basis):
-            unit = tuple(Fraction(1 if k == j else 0) for k in range(n))
-            if x_field.evaluate(origin) != unit:
+            if adaptation_defect(x_field, j) is not None:
                 raise ValueError("%s basis field %d is not adapted at 0"
                                  % (label, j + 1))
             parts = expand(x_field, ws)
@@ -448,46 +442,39 @@ def convert_nilpotent_approx(models, targets, weights):
 
 
 class ChartResult:
-    """A canonical chart: exact results carry a CoordinateChange and the
-    forward coordinate map; numeric results carry a fitted NumericChart."""
+    """An exact canonical chart: its CoordinateChange and the forward
+    coordinate map xi -> x it inverts."""
 
-    def __init__(self, kind, mode, change=None, forward=None, numeric=None):
+    def __init__(self, kind, change, forward):
         self.kind = kind
-        self.mode = mode
         self.change = change
         self.forward = forward
-        self.numeric = numeric
 
 
 def _package_chart(frame, chart_map):
     """Present an exact chart C (with C(a) = 0, dC(a) = (B^t)^{-1}) as a
-    CoordinateChange by splitting off the affine adaptation."""
+    CoordinateChange by splitting off the affine adaptation, whose inverse
+    is x = a + B(a)^t u."""
     m = frame.adapted_matrix()
-    affine_inv = CoordinateChange(m, frame.base_point, frame.weights).affine_inverse_polymap()
-    tail = chart_map.compose(affine_inv)
-    return CoordinateChange(m, frame.base_point, frame.weights, tail)
+    affine_inv = _affine_polymap(linalg.transpose(frame.coefficient_matrix()),
+                                 frame.base_point)
+    return CoordinateChange(m, frame.base_point, frame.weights,
+                            chart_map.compose(affine_inv))
 
 
-def canonical_first_kind(frame, mode="exact", **numeric_options):
+def canonical_first_kind(frame):
     """Chart of canonical coordinates of the first kind at the base point:
     the inverse of xi -> (time-one flow of sum_j xi_j X_j from a).
 
-    Exact mode needs the frame in canonical triangular shape; numeric mode
-    integrates with RK4 and fits the chart polynomially.
+    Needs the frame in canonical triangular shape.
     """
-    if mode == "numeric":
-        return ChartResult("first", "numeric",
-                           numeric=NumericChart.build(frame, "first", **numeric_options))
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'numeric'")
     flow = exact_flow(frame.fields, frame.weights)
     forward = flow.map_in_xi(frame.base_point, 1)
     chart = invert_weight_triangular(forward, frame.weights.weights)
-    return ChartResult("first", "exact", change=_package_chart(frame, chart),
-                       forward=forward)
+    return ChartResult("first", _package_chart(frame, chart), forward)
 
 
-def canonical_second_kind(frame, mode="exact", **numeric_options):
+def canonical_second_kind(frame):
     """Chart of canonical coordinates of the second kind: the inverse of
 
         x -> exp(x_1 X_1) . exp(x_2 X_2) ... exp(x_n X_n)(a),
@@ -495,11 +482,6 @@ def canonical_second_kind(frame, mode="exact", **numeric_options):
     the innermost factor acting first.  Privileged, but never a Carnot
     chart once the step exceeds one.
     """
-    if mode == "numeric":
-        return ChartResult("second", "numeric",
-                           numeric=NumericChart.build(frame, "second", **numeric_options))
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'numeric'")
     wv = frame.weights
     n = wv.n
     flow = exact_flow(frame.fields, wv)
@@ -511,8 +493,7 @@ def canonical_second_kind(frame, mode="exact", **numeric_options):
         current = flow.substituted(current, xi_polys, one)
     forward = PolyMap(current)
     chart = invert_weight_triangular(forward, wv.weights)
-    return ChartResult("second", "exact", change=_package_chart(frame, chart),
-                       forward=forward)
+    return ChartResult("second", _package_chart(frame, chart), forward)
 
 
 # ---------------------------------------------------------------------------

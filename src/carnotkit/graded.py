@@ -1,10 +1,4 @@
-"""Weights, anisotropic dilations, pseudo-norms and O_w residual classes.
-
-Most helpers work on plain exponent tuples and weight tuples, so the same
-code serves the base space (weights ``w``) and the doubled product space
-(weights ``(w, w)``).  The product weights are *not* nondecreasing, hence
-they are kept as raw tuples and never wrapped in a :class:`WeightVector`.
-"""
+"""Weights, anisotropic dilations, pseudo-norms and O_w residual classes."""
 
 from fractions import Fraction
 import math
@@ -134,34 +128,32 @@ def pseudo_norm(x, weights):
 # ---------------------------------------------------------------------------
 
 
-def ow_violations(residual, m, weights, in_weights=None):
+def ow_violations(residual, m, weights):
     """Monomials breaking the O_w(||x||^{w_k+m}) bound.
 
     ``residual`` is a polynomial map (anything with a ``components`` list of
-    polynomials) or a plain list of polynomials; ``weights`` grade the output
-    components and ``in_weights`` the input variables (defaults to
-    ``weights``; pass the doubled tuple for product-space residuals).
+    polynomials) or a plain list of polynomials; ``weights`` grade both the
+    output components and the input variables.
 
     Returns a list of (component_index, exponent, coefficient), smallest
     weighted degree first.
     """
     comps = getattr(residual, "components", residual)
-    ws_out = as_weights(weights)
-    ws_in = ws_out if in_weights is None else as_weights(in_weights)
+    ws = as_weights(weights)
     bad = []
     for k, comp in enumerate(comps):
-        need = ws_out[k] + m
+        need = ws[k] + m
         for exp, coef in comp.terms.items():
-            d = weighted_degree(exp, ws_in)
+            d = weighted_degree(exp, ws)
             if d < need:
                 bad.append((k, exp, coef))
-    bad.sort(key=lambda item: (weighted_degree(item[1], ws_in), item[0], item[1]))
+    bad.sort(key=lambda item: (weighted_degree(item[1], ws), item[0], item[1]))
     return bad
 
 
-def ow_class_poly(residual, m, weights, in_weights=None):
+def ow_class_poly(residual, m, weights):
     """Exact O_w membership test for a polynomial residual map."""
-    return not ow_violations(residual, m, weights, in_weights)
+    return not ow_violations(residual, m, weights)
 
 
 DEFAULT_T_GRID = tuple(Fraction(1, 2 ** k) for k in range(1, 11))

@@ -508,6 +508,10 @@ def run_criterion(number, seed):
 
 
 def run_all(seed, only=None):
+    unknown = sorted(set(only or ()) - {num for num, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError("no criterion %s; the criteria are numbered 1-%d"
+                         % (", ".join(map(str, unknown)), len(CRITERIA)))
     results = []
     for num, title, fn in CRITERIA:
         if only is not None and num not in only:

@@ -14,7 +14,8 @@ from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
 from .groups import (group_frame, group_product, left_invariant_fields,
                      model_structure_constants)
 from .poly import PolyMap, RationalPoly, TriangularMap, invert_weight_triangular, monomial_str
-from .vfields import DegenerateFrameError, Frame, expand, function_order
+from .vfields import (DegenerateFrameError, Frame, adaptation_defect, expand,
+                      function_order)
 
 
 class VerificationReport:
@@ -64,9 +65,8 @@ def _privileged_inspection(pushed, exact):
     adapted = True
     models = [None] * n
     for j, field in enumerate(pushed.fields):
-        val = PolyMap(field.coefficients).constant_part()
-        unit = tuple(Fraction(1 if k == j else 0) for k in range(n))
-        if val != unit:
+        val = adaptation_defect(field, j)
+        if val is not None:
             adapted = False
             witnesses.append("field %d is not adapted: X_%d(0) = (%s)"
                              % (j + 1, j + 1, ", ".join(str(v) for v in val)))
@@ -201,11 +201,11 @@ def random_homogeneous_triangular(weights, rng, density=0.5):
     return TriangularMap(comps, wv)
 
 
-def random_raising_perturbation(weights, rng, max_extra=2, density=0.4):
-    """Random map whose component k only has terms of weighted degree
-    w_k + 1 .. w_k + max_extra, each with at least two factors (the zero map
-    is a possible outcome).  Linear monomials are excluded on purpose: a
-    bare x_j with w_j > w_k raises the weight as a function but gives the
+def random_raising_perturbation(weights, rng):
+    """Random map whose component k only has terms of weighted degree w_k + 1
+    or w_k + 2, each with at least two factors and drawn with chance 0.4
+    (the zero map is possible).  Linear monomials are excluded on purpose:
+    a bare x_j with w_j > w_k raises the weight as a function but gives the
     map a nonzero differential at 0, and composing such a map onto a chart
     knocks the pushed frame off X_j(0) = e_j."""
     wv = WeightVector(weights)
@@ -214,11 +214,11 @@ def random_raising_perturbation(weights, rng, max_extra=2, density=0.4):
     comps = []
     for k in range(n):
         comp = RationalPoly.zero(n)
-        for extra in range(1, max_extra + 1):
+        for extra in (1, 2):
             for exp in iter_weighted_exponents(ws, ws[k] + extra, "eq"):
                 if sum(exp) < 2:
                     continue
-                if rng.random() < density:
+                if rng.random() < 0.4:
                     comp = comp + RationalPoly.monomial(n, exp, rng.choice(_COEF_POOL))
         comps.append(comp)
     return PolyMap(comps)
@@ -332,7 +332,7 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
         directions = random_osculation_directions(wv, n_directions, rng)
     grid = tuple(t_grid)
     eps0 = epsilon(frame)
-    work = transform_frame(frame, eps0.change)
+    work = eps0.carnot_frame
     constants = eps0.constants
     entries = []
     for x0, y0 in directions:
@@ -373,8 +373,7 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
 
 
 def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
-                         n_directions=4, rng=None, step=1e-3,
-                         t_grid=DEFAULT_T_GRID):
+                         n_directions=4, rng=None, t_grid=DEFAULT_T_GRID):
     """Scaling classification of an RK4-sampled canonical chart.
 
     The residual g(xi) = eps(F(xi)) - xi is measured directly against the
@@ -383,7 +382,7 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
     sampled at every dilated direction of the grid in one stacked call.
     """
     wv = frame.weights
-    sampler = ChartSampler(frame, kind, step)
+    sampler = ChartSampler(frame, kind)
     if eps is None:
         eps = epsilon(frame)
     if directions is None:

@@ -144,6 +144,13 @@ def _partial_at_zero(poly, alpha):
     return g.evaluate((Fraction(0),) * poly.n)
 
 
+def adaptation_defect(x_field, j):
+    """X(0), read off the constant terms, when it is not d/dx_j; else None."""
+    n = x_field.n
+    value = tuple(c.terms.get((0,) * n, Fraction(0)) for c in x_field.coefficients)
+    return None if value == tuple(int(k == j) for k in range(n)) else value
+
+
 def model_field(x_field, j, weights):
     """Homogeneous degree -w_j part of an adapted field, computed two ways.
 
@@ -155,9 +162,7 @@ def model_field(x_field, j, weights):
     """
     ws = as_weights(weights)
     n = x_field.n
-    origin = (Fraction(0),) * n
-    unit = tuple(Fraction(1 if k == j else 0) for k in range(n))
-    if x_field.evaluate(origin) != unit:
+    if adaptation_defect(x_field, j) is not None:
         raise ValueError("field %d is not linearly adapted at the origin" % (j + 1))
     parts = expand(x_field, ws)
     too_low = [d for d in parts if d < -ws[j]]
@@ -277,18 +282,9 @@ class Frame:
                     table[(i, j, k)] = lam[k]
         return table
 
-    def validate(self, points=()):
-        """Re-run the frame checks at the base point and any extra points.
-
-        Returns the list of points checked; raises ValueError on failure.
-        """
-        checked = [self.base_point]
-        self.bracket_table(self.base_point)
-        for p in points:
-            p = tuple(Fraction(x) for x in p)
-            self.bracket_table(p)
-            checked.append(p)
-        return checked
+    def validate(self):
+        """Re-run the frame checks at the base point; ValueError on failure."""
+        self.bracket_table()
 
     def __repr__(self):
         return "Frame(n=%d, weights=%s, base=%s)" % (

@@ -360,6 +360,20 @@ def test_epsilon_carnot_fields_osculate_induced_group(frame_entry, rng):
             assert model.evaluate(pt) == tuple(want)
 
 
+@pytest.mark.parametrize("name", ["heisenberg_3", "engel_4", "step3_filiform_5",
+                                  "perturbed_heisenberg_3", "perturbed_engel_4"])
+def test_carnot_frame_is_the_frame_pushed_through_the_chart(name, rng):
+    """osculation_report reads carnot_frame as the frame in the chart."""
+    frame = catalog(name).frame
+    n = frame.weights.n
+    base = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+    for fr in (frame, frame.at_base(base)):
+        eps = epsilon(fr)
+        pushed = transform_frame(fr, eps.change)
+        assert eps.carnot_frame.base_point == pushed.base_point
+        assert eps.carnot_frame.fields == pushed.fields
+
+
 def test_step2_epsilon_matches_quadratic_rule():
     """Hand-built step-2 frame: the chart is x_k plus the quadratic
     correction computed from first derivatives of the coefficients."""
@@ -427,6 +441,28 @@ def test_convert_nilpotent_approx_rejects_non_lie_brackets():
         convert_nilpotent_approx(fields, fields, (1, 1, 1, 2, 3))
 
 
+def test_convert_nilpotent_approx_rejects_unadapted_basis():
+    frame = catalog("heisenberg_3").frame
+    x1 = RationalPoly.variable(3, 0)
+    tilted = list(frame.fields)
+    tilted[1] = tilted[1] + PolyVectorField([RationalPoly.const(3, 1),
+                                             RationalPoly.zero(3), x1])
+    with pytest.raises(ValueError, match="source basis field 2 is not adapted at 0"):
+        convert_nilpotent_approx(tilted, frame.fields, frame.weights)
+    with pytest.raises(ValueError, match="target basis field 2 is not adapted at 0"):
+        convert_nilpotent_approx(frame.fields, tilted, frame.weights)
+
+
+def test_psi_map_rejects_unadapted_frame():
+    frame = catalog("heisenberg_3").frame
+    x1 = RationalPoly.variable(3, 0)
+    tilted = list(frame.fields)
+    tilted[2] = tilted[2] + PolyVectorField([RationalPoly.zero(3), x1,
+                                             RationalPoly.const(3, 2)])
+    with pytest.raises(ValueError, match=r"not linearly adapted .*\(field 3\)"):
+        psi_map(Frame(tilted, frame.weights, frame.base_point, check=False))
+
+
 def test_convert_nilpotent_approx_rejects_inhomogeneous_basis():
     frame = catalog("heisenberg_3").frame
     bad = catalog("perturbed_heisenberg_3").frame.fields
@@ -460,13 +496,6 @@ def test_canonical_charts_invert_their_forward(frame_entry, rng):
                        for _ in range(n))
             x = result.forward.evaluate(xi)
             assert result.change.apply(x) == xi
-
-
-def test_canonical_mode_validation(h3_frame):
-    with pytest.raises(ValueError, match="mode"):
-        canonical_first_kind(h3_frame, mode="exactly")
-    with pytest.raises(ValueError, match="mode"):
-        canonical_second_kind(h3_frame, mode="symbolic")
 
 
 # ---------------------------------------------------------------------------

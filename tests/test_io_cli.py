@@ -310,6 +310,31 @@ def test_cli_selftest_subset(capsys):
     assert lines[0].startswith("criterion 01")
 
 
+@pytest.mark.parametrize("criteria,unknown", [("99", "99"), ("0,6", "0")])
+def test_cli_selftest_rejects_unknown_criteria(capsys, criteria, unknown):
+    assert cli.main(["selftest", "--seed", "1", "--criteria", criteria]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "no criterion %s;" % unknown in out.err
+
+
+@pytest.mark.parametrize("directions", ["0", "-3"])
+def test_cli_osculate_rejects_nonpositive_directions(capsys, directions):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["osculate", "heisenberg_3", "--seed", "1",
+                  "--directions", directions])
+    assert err.value.code == 2
+    assert "--directions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["-2", "0"])
+def test_cli_order_rejects_nonpositive_bound(capsys, bound):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["order", "heisenberg_3", "--coordinate", "3", "--bound", bound])
+    assert err.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
 def test_cli_selftest_requires_seed(capsys, monkeypatch):
     monkeypatch.delenv("CARNOT_SEED", raising=False)
     with pytest.raises(SystemExit) as err:

@@ -8,7 +8,7 @@ from carnotkit.groups import catalog, left_invariant_fields
 from carnotkit import vfields
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.vfields import (
-    Frame, PolyVectorField, bracket, expand, field_weight,
+    Frame, PolyVectorField, adaptation_defect, bracket, expand, field_weight,
     function_order, model_field, pushforward, rescale,
 )
 
@@ -113,9 +113,27 @@ def test_model_field_rejects_non_adapted():
     ws = WeightVector((1, 1, 2))
     one = RationalPoly.const(3, 1)
     zero = RationalPoly.zero(3)
+    x1 = RationalPoly.variable(3, 0)
     tilted = PolyVectorField([one, one, zero])  # X(0) = e_1 + e_2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field 1 is not linearly adapted"):
         model_field(tilted, 0, ws)
+    with pytest.raises(ValueError, match="field 2 is not linearly adapted"):
+        model_field(PolyVectorField([zero, one * 2, x1]), 1, ws)  # X(0) = 2 e_2
+    with pytest.raises(ValueError, match="field 3 is not linearly adapted"):
+        model_field(PolyVectorField([zero, zero, x1]), 2, ws)  # X(0) = 0
+
+
+def test_adaptation_defect_reads_the_constant_terms():
+    one = RationalPoly.const(3, 1)
+    zero = RationalPoly.zero(3)
+    x1, x2 = RationalPoly.variable(3, 0), RationalPoly.variable(3, 1)
+    assert adaptation_defect(PolyVectorField([x2, one, x1 * x2]), 1) is None
+    assert adaptation_defect(PolyVectorField([one + x2, zero, x1]), 0) is None
+    assert adaptation_defect(PolyVectorField([one, zero, one - x1]), 0) == (1, 0, 1)
+    assert adaptation_defect(PolyVectorField([x1, x2, zero]), 0) == (0, 0, 0)
+    for entry in ("heisenberg_3", "perturbed_engel_4"):
+        fields = catalog(entry).frame.fields
+        assert [adaptation_defect(x, j) for j, x in enumerate(fields)] == [None] * len(fields)
 
 
 def test_model_field_rejects_parts_below_minus_wj():
