@@ -17,7 +17,7 @@ import os
 import random
 import sys
 
-from . import io
+from . import io, linalg
 from .coords import (CoordinateChange, NumericChart, canonical_first_kind,
                      canonical_second_kind, epsilon, linearize, psi_map)
 from .groups import catalog, catalog_names, dynkin_product, validate_algebra
@@ -106,9 +106,8 @@ def _resolve_change(selector, frame):
         return CoordinateChange(affine.matrix, affine.offset, frame.weights,
                                 psi_map(adapted))
     if selector == "identity":
-        n = frame.n
-        eye = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        return CoordinateChange(eye, frame.base_point, frame.weights)
+        return CoordinateChange(linalg.identity_matrix(frame.n), frame.base_point,
+                                frame.weights)
     if os.path.exists(selector):
         with open(selector) as fh:
             kind, value = io.load_document(fh.read())

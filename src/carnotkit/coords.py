@@ -96,9 +96,11 @@ class CoordinateChange:
         return self.poly.compose(self.affine_polymap())
 
     def apply(self, point):
-        u = linalg.mat_vec(self.matrix,
-                           [Fraction(x) - o for x, o in zip(point, self.offset)])
-        return self.poly.evaluate(u)
+        point = [Fraction(x) for x in point]
+        if len(point) != self.weights.n:
+            raise ValueError("point has wrong dimension")
+        return self.poly.evaluate(linalg.mat_vec(
+            self.matrix, [x - o for x, o in zip(point, self.offset)]))
 
     def inverse_polymap(self, max_weight=None):
         """Polynomial inverse; exact when possible, else truncated at
@@ -242,34 +244,10 @@ def _integrate_last(p):
     return RationalPoly(p.n, out)
 
 
-class FlowResult:
-    """Flow of x' = sum_j xi_j X_j(x), x(0) = y, solved once and for all as
-    polynomials in the 2n + 1 variables (y_1..y_n, xi_1..xi_n, t)."""
-
-    def __init__(self, components, weights):
-        self.weights = weights
-        self.n = weights.n
-        self.components = components  # RationalPoly in 2n + 1 variables
-
-    def endpoint(self, y, xi, t=1):
-        args = tuple(y) + tuple(xi) + (t,)
-        return tuple(c.evaluate(args) for c in self.components)
-
-    def substituted(self, y_polys, xi_polys, t_poly):
-        args = list(y_polys) + list(xi_polys) + [t_poly]
-        return [c.substitute(args) for c in self.components]
-
-    def map_in_xi(self, y_point, t=1):
-        """PolyMap xi -> x(t; y, xi) for fixed rational y and t."""
-        n = self.n
-        y_polys = [RationalPoly.const(n, v) for v in y_point]
-        xi_polys = [RationalPoly.variable(n, j) for j in range(n)]
-        t_poly = RationalPoly.const(n, t)
-        return PolyMap(self.substituted(y_polys, xi_polys, t_poly))
-
-
 def exact_flow(fields, weights):
-    """Exact polynomial flow of a triangular system in canonical shape.
+    """Exact polynomial flow of a triangular system in canonical shape: the
+    flow of x' = sum_j xi_j X_j(x), x(0) = y, as a PolyMap in the 2n + 1
+    variables (y_1..y_n, xi_1..xi_n, t).
 
     Coordinates are integrated in nondecreasing weight order; each
     right-hand side only involves already-solved components, so every
@@ -293,7 +271,13 @@ def exact_flow(fields, weights):
                 continue
             rhs = rhs + xi_vars[j] * coef.substitute(args)
         solution[k] = y_vars[k] + _integrate_last(rhs)
-    return FlowResult(solution, wv)
+    return PolyMap(solution)
+
+
+def _time_one(flow, y, xi):
+    """x(1; y, xi) as a PolyMap, for lists y and xi of polynomials in the
+    same variables."""
+    return flow.compose(PolyMap(y + xi + [RationalPoly.const(xi[0].n, 1)]))
 
 
 def exp_map(fields, weights):
@@ -302,8 +286,8 @@ def exp_map(fields, weights):
     weight-homogeneous triangular map with identity differential."""
     wv = WeightVector(weights)
     n = wv.n
-    flow = exact_flow(fields, wv)
-    comps = flow.map_in_xi((Fraction(0),) * n, 1).components
+    xi = [RationalPoly.variable(n, j) for j in range(n)]
+    comps = _time_one(exact_flow(fields, wv), [RationalPoly.zero(n)] * n, xi).components
     try:
         out = TriangularMap(comps, wv)
     except ValueError as exc:
@@ -315,8 +299,8 @@ def exp_map(fields, weights):
 
 def _check_homogeneous_triangular(m):
     ws = m.weights.weights
-    for k in range(m.weights.n):
-        for exp in m.tail(k).terms:
+    for k in range(m.weights.n):  # x_k itself has weighted degree w_k
+        for exp in m.components[k].terms:
             if weighted_degree(exp, ws) != ws[k]:
                 raise ValueError(
                     "component %d carries a term of weighted degree != w_k; "
@@ -427,7 +411,7 @@ def convert_nilpotent_approx(models, targets, weights):
                          "([X%d, X%d] differs at 0)" % (i + 1, j + 1))
     exp_x = exp_map(models, wv)
     exp_y = exp_map(targets, wv)
-    phi = exp_y.compose(invert_triangular(exp_x))
+    phi = TriangularMap(exp_y.compose(invert_triangular(exp_x)).components, wv)
     phi_inv = invert_triangular(phi)
     for j in range(n):
         if pushforward(models[j], phi, phi_inv) != targets[j]:
@@ -451,15 +435,15 @@ class ChartResult:
         self.forward = forward
 
 
-def _package_chart(frame, chart_map):
-    """Present an exact chart C (with C(a) = 0, dC(a) = (B^t)^{-1}) as a
-    CoordinateChange by splitting off the affine adaptation, whose inverse
-    is x = a + B(a)^t u."""
-    m = frame.adapted_matrix()
-    affine_inv = _affine_polymap(linalg.transpose(frame.coefficient_matrix()),
-                                 frame.base_point)
-    return CoordinateChange(m, frame.base_point, frame.weights,
-                            chart_map.compose(affine_inv))
+def _package_chart(frame, kind, forward):
+    """The chart inverting the forward map xi -> x of the given kind, as a
+    CoordinateChange: T_a . forward, with T_a(x) = (B(a)^t)^{-1}(x - a),
+    fixes the origin and is unipotent, and its exact inverse is the
+    change's polynomial factor."""
+    m, a = frame.adapted_matrix(), frame.base_point
+    t_a = _affine_polymap(m, [-v for v in linalg.mat_vec(m, a)])
+    chart = invert_weight_triangular(t_a.compose(forward), frame.weights.weights)
+    return ChartResult(kind, CoordinateChange(m, a, frame.weights, chart), forward)
 
 
 def canonical_first_kind(frame):
@@ -468,10 +452,11 @@ def canonical_first_kind(frame):
 
     Needs the frame in canonical triangular shape.
     """
-    flow = exact_flow(frame.fields, frame.weights)
-    forward = flow.map_in_xi(frame.base_point, 1)
-    chart = invert_weight_triangular(forward, frame.weights.weights)
-    return ChartResult("first", _package_chart(frame, chart), forward)
+    n = frame.weights.n
+    y = [RationalPoly.const(n, v) for v in frame.base_point]
+    xi = [RationalPoly.variable(n, j) for j in range(n)]
+    return _package_chart(frame, "first",
+                          _time_one(exact_flow(frame.fields, frame.weights), y, xi))
 
 
 def canonical_second_kind(frame):
@@ -482,18 +467,14 @@ def canonical_second_kind(frame):
     the innermost factor acting first.  Privileged, but never a Carnot
     chart once the step exceeds one.
     """
-    wv = frame.weights
-    n = wv.n
-    flow = exact_flow(frame.fields, wv)
+    n = frame.weights.n
+    flow = exact_flow(frame.fields, frame.weights)
     current = [RationalPoly.const(n, v) for v in frame.base_point]
-    one = RationalPoly.const(n, 1)
     zero = RationalPoly.zero(n)
     for j in reversed(range(n)):
-        xi_polys = [RationalPoly.variable(n, j) if l == j else zero for l in range(n)]
-        current = flow.substituted(current, xi_polys, one)
-    forward = PolyMap(current)
-    chart = invert_weight_triangular(forward, wv.weights)
-    return ChartResult("second", _package_chart(frame, chart), forward)
+        xi = [RationalPoly.variable(n, j) if l == j else zero for l in range(n)]
+        current = _time_one(flow, current, xi).components
+    return _package_chart(frame, "second", PolyMap(current))
 
 
 # ---------------------------------------------------------------------------

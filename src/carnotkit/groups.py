@@ -406,12 +406,22 @@ def _perturbed_engel_4():
     return Frame([f1, f2, base[2], base[3]], (1, 1, 2, 3), (0, 0, 0, 0))
 
 
-_ABELIAN_RE = re.compile(r"^abelian_([1-9])$")
+# One ordered table: the group algebras, whose entries carry the group frame
+# at the identity, then the hand-built frames, whose constants are read at
+# the origin.  "<n>" in a name stands for a digit 1-9.
+_CATALOG = (
+    ("abelian_<n>", lambda n: StructureConstants((1,) * n, {})),
+    ("heisenberg_3", _heisenberg_3),
+    ("heisenberg_5", _heisenberg_5),
+    ("engel_4", _engel_4),
+    ("step3_filiform_5", _step3_filiform_5),
+    ("perturbed_heisenberg_3", _perturbed_heisenberg_3),
+    ("perturbed_engel_4", _perturbed_engel_4),
+)
 
 
 def catalog_names():
-    return ["abelian_<n>", "heisenberg_3", "heisenberg_5", "engel_4",
-            "step3_filiform_5", "perturbed_heisenberg_3", "perturbed_engel_4"]
+    return [pattern for pattern, _ in _CATALOG]
 
 
 def catalog(name):
@@ -421,30 +431,12 @@ def catalog(name):
     perturbed entries carry hand-built H-frames whose tangent constants at
     the origin coincide with the matching group entry.
     """
-    m = _ABELIAN_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        constants = StructureConstants((1,) * n, {})
-        return CatalogEntry(name, constants, group_frame(constants))
-    if name == "heisenberg_3":
-        constants = _heisenberg_3()
-        return CatalogEntry(name, constants, group_frame(constants))
-    if name == "heisenberg_5":
-        constants = _heisenberg_5()
-        return CatalogEntry(name, constants, group_frame(constants))
-    if name == "engel_4":
-        constants = _engel_4()
-        return CatalogEntry(name, constants, group_frame(constants))
-    if name == "step3_filiform_5":
-        constants = _step3_filiform_5()
-        return CatalogEntry(name, constants, group_frame(constants))
-    if name == "perturbed_heisenberg_3":
-        frame = _perturbed_heisenberg_3()
-        constants, _ = structure_constants_at(frame)
-        return CatalogEntry(name, constants, frame)
-    if name == "perturbed_engel_4":
-        frame = _perturbed_engel_4()
-        constants, _ = structure_constants_at(frame)
-        return CatalogEntry(name, constants, frame)
+    for pattern, build in _CATALOG:
+        m = re.fullmatch(pattern.replace("<n>", "([1-9])"), name)
+        if m:
+            made = build(*map(int, m.groups()))
+            if isinstance(made, StructureConstants):
+                return CatalogEntry(name, made, group_frame(made))
+            return CatalogEntry(name, structure_constants_at(made)[0], made)
     raise KeyError("unknown catalog entry %r (known: %s)"
                    % (name, ", ".join(catalog_names())))

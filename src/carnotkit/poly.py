@@ -333,10 +333,6 @@ class PolyMap:
     def identity(cls, n):
         return cls([RationalPoly.variable(n, j) for j in range(n)])
 
-    @classmethod
-    def constant(cls, n_in, values):
-        return cls([RationalPoly.const(n_in, v) for v in values])
-
     def evaluate(self, point):
         return tuple(c.evaluate(point) for c in self.components)
 
@@ -459,22 +455,6 @@ class TriangularMap(PolyMap):
                     "component %d is not unit-triangular: its tail needs "
                     "terms of two or more factors and weighted degree <= w_%d"
                     % (k + 1, k + 1))
-
-    @classmethod
-    def identity_map(cls, weights):
-        wv = WeightVector(weights)
-        return cls(PolyMap.identity(wv.n).components, wv)
-
-    def compose(self, other, weights=None, bound=None):
-        out = PolyMap.compose(self, other, weights, bound)
-        if (bound is None and isinstance(other, TriangularMap)
-                and other.weights == self.weights):
-            return TriangularMap(out.components, self.weights)
-        return out
-
-    def tail(self, k):
-        """Correction terms of component k (component minus x_k)."""
-        return self.components[k] - RationalPoly.variable(self.n_in, k)
 
 
 def invert_weight_triangular(m, weights, max_weight=None):

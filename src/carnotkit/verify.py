@@ -41,6 +41,9 @@ def _witness(k, exp, coef):
 
 
 def _push_through(frame, change):
+    if change.weights != frame.weights:
+        raise ValueError("change weights %s differ from the frame's %s"
+                         % (change.weights.weights, frame.weights.weights))
     origin = (Fraction(0),) * frame.weights.n
     if change.apply(frame.base_point) != origin:
         raise ValueError("change does not map the frame's base point to the "

@@ -419,6 +419,36 @@ def determinant(rows):
 
 
 # ---------------------------------------------------------------------------
+# Canonical charts built about the base point.
+# ---------------------------------------------------------------------------
+
+def unpackaged_canonical_chart(frame, kind, flow):
+    """(polynomial factor, forward map) of a canonical chart of the given
+    kind, built about the base point a: the forward map xi -> x keeps a's
+    constants and is inverted as it stands by one weight-ordered sweep, and
+    the inverse is composed with x = a + B(a)^t u.  ``flow`` holds the flow
+    components in (y, xi, t)."""
+    ws = frame.weights.weights
+    n = len(ws)
+    ident = [RationalPoly.variable(n, j) for j in range(n)]
+    one = RationalPoly.const(n, 1)
+    point = [RationalPoly.const(n, v) for v in frame.base_point]
+    steps = [ident] if kind == "first" else [
+        [x if l == j else x * 0 for l, x in enumerate(ident)] for j in reversed(range(n))]
+    for xi in steps:
+        point = [c.substitute(point + xi + [one]) for c in flow]
+    forward = PolyMap(point)
+    inverse = list(ident)  # each tail only reads variables of lower weight
+    for k in sorted(range(n), key=lambda i: ws[i]):
+        inverse[k] = ident[k] - (forward.components[k] - ident[k]).substitute(inverse)
+    b = [[c.evaluate(frame.base_point) for c in field.coefficients] for field in frame.fields]
+    undo_affine = PolyMap([sum((x * b[j][k] for j, x in enumerate(ident)),
+                               RationalPoly.const(n, a_k))
+                           for k, a_k in enumerate(frame.base_point)])
+    return PolyMap(inverse).compose(undo_affine), forward
+
+
+# ---------------------------------------------------------------------------
 # One-stage pushes: the change expanded about the base point as a whole.
 # ---------------------------------------------------------------------------
 

@@ -88,6 +88,15 @@ def test_change_apply_matches_forward_polymap():
         assert change.apply(pt) == change.forward_polymap().evaluate(pt)
 
 
+@pytest.mark.parametrize("point", [(1, 2), (1, 2, 3, 4, 5)])
+def test_change_apply_rejects_a_point_of_the_wrong_dimension(h3_frame, point):
+    change = epsilon(h3_frame.at_base((1, 2, 3))).change
+    with pytest.raises(ValueError, match="wrong dimension"):
+        change.apply(point)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        change.inverse_apply(point)
+
+
 @given(points(3))
 def test_change_round_trip(pt):
     x1, x2, x3 = _vars(3)
@@ -272,7 +281,7 @@ def test_flow_endpoint_is_group_product(group_entry, rng):
                   for _ in range(n))
         xi = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(n))
-        assert flow.endpoint(y, xi, 1) == tuple(
+        assert flow.evaluate(y + xi + (1,)) == tuple(
             oracles.bch_product(group_entry.constants, n, y, xi))
 
 
@@ -486,6 +495,21 @@ def test_second_kind_forward_on_heisenberg():
     assert result.forward == oracles.h3_c2_forward()
 
 
+@settings(max_examples=20)
+@given(frame=nonzero_base_frames())
+def test_canonical_charts_match_the_construction_about_the_base_point(frame):
+    """Packaged about the origin, both kinds equal the chart that inverts
+    the forward map with the base point's constants and then undoes the
+    affine adaptation by x = a + B(a)^t u."""
+    flow = exact_flow(frame.fields, frame.weights).components
+    for kind, build in (("first", canonical_first_kind), ("second", canonical_second_kind)):
+        result = build(frame)
+        poly, forward = oracles.unpackaged_canonical_chart(frame, kind, flow)
+        assert result.kind == kind and result.forward == forward
+        assert result.change == CoordinateChange(frame.adapted_matrix(), frame.base_point,
+                                                 frame.weights, poly)
+
+
 def test_canonical_charts_invert_their_forward(frame_entry, rng):
     frame = frame_entry.frame
     n = frame.weights.n
@@ -506,7 +530,7 @@ def test_numeric_flow_matches_exact_endpoint(h3_frame):
     xi = (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 5))
     y = (Fraction(1, 10), Fraction(1, 5), Fraction(-3, 10))
     flow = exact_flow(h3_frame.fields, h3_frame.weights)
-    exact_pt = flow.endpoint(y, xi, 1)
+    exact_pt = flow.evaluate(y + xi + (1,))
     num_pt = numeric_flow(combined_field(h3_frame.fields, xi), y, 1.0)
     assert max(abs(float(a) - b) for a, b in zip(exact_pt, num_pt)) < 1e-9
 

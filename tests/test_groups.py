@@ -268,6 +268,22 @@ def test_validate_matches_dense_oracle_on_scale_algebras():
     assert rep.failures == ["jacobi: cyclic sum for (1, 2, 3) -> 5 is -1"]
 
 
+def test_catalog_table_lists_groups_then_frames():
+    names = ["abelian_<n>", "heisenberg_3", "heisenberg_5", "engel_4",
+             "step3_filiform_5", "perturbed_heisenberg_3", "perturbed_engel_4"]
+    assert catalog_names() == names
+    for name in ("abelian_0", "abelian_10", "heisenberg_3 "):
+        with pytest.raises(KeyError) as err:
+            catalog(name)
+        assert err.value.args[0] == ("unknown catalog entry %r (known: %s)"
+                                     % (name, ", ".join(names)))
+    for perturbed, group in (("perturbed_heisenberg_3", "heisenberg_3"),
+                             ("perturbed_engel_4", "engel_4")):
+        entry = catalog(perturbed)
+        assert entry.name == perturbed
+        assert entry.constants == catalog(group).constants
+
+
 def test_constants_antisymmetry_on_read():
     sc = catalog("heisenberg_3").constants
     assert sc.get(0, 1, 2) == Fraction(1)

@@ -253,6 +253,19 @@ def test_cli_check_carnot_flags_second_kind(capsys):
                      "--change", "second-kind"]) == 0
 
 
+@pytest.mark.parametrize("command", ["check-carnot", "check-privileged"])
+def test_cli_change_with_other_weights_exits_2(capsys, tmp_path, command):
+    assert cli.main(["canonical2", "heisenberg_3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["change"]["weights"] = [1, 1, 1]
+    change_file = tmp_path / "change.json"
+    change_file.write_text(json.dumps(doc))
+    assert cli.main([command, "heisenberg_3", "--change", str(change_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: change weights (1, 1, 1) differ")
+
+
 def test_cli_order(capsys):
     assert cli.main(["order", "heisenberg_3", "--coordinate", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 2

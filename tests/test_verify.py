@@ -43,6 +43,16 @@ def test_checks_require_centered_chart(h3_frame):
         check_privileged(moved, CoordinateChange.identity(moved.weights))
 
 
+@pytest.mark.parametrize("check", [check_carnot, check_privileged])
+def test_checks_reject_a_change_with_other_weights(h3_frame, check):
+    """A change graded by other weights than the frame's is bad input: the
+    push would clip by one grading and the verdicts read the other."""
+    change = canonical_second_kind(h3_frame).change
+    other = CoordinateChange(change.matrix, change.offset, (1, 1, 1), change.poly)
+    with pytest.raises(ValueError, match=r"\(1, 1, 1\) differ from the frame's \(1, 1, 2\)"):
+        check(h3_frame, other)
+
+
 def test_report_truth_value(h3_frame):
     eps = epsilon(h3_frame)
     report = check_privileged(h3_frame, eps.change)
