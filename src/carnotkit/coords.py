@@ -21,7 +21,7 @@ from .groups import model_structure_constants
 from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
                    invert_weight_triangular, term_sort_key, weight_shape)
 from .vfields import (Frame, PolyVectorField, adaptation_defect, expand,
-                      model_field, pushforward)
+                      model_field, push_fields)
 
 
 def _affine_polymap(matrix, shift):
@@ -145,7 +145,7 @@ def linearize(frame):
 def _push_affine(frame, change):
     """Stage 1 of transform_frame: push through the affine factor only."""
     forward, inverse = change.affine_polymap(), change.affine_inverse_polymap()
-    return Frame([pushforward(x, forward, inverse) for x in frame.fields],
+    return Frame(push_fields(frame.fields, forward, inverse),
                  frame.weights, forward.evaluate(frame.base_point), check=False)
 
 
@@ -158,7 +158,7 @@ def transform_frame(frame, change, max_weight=None):
     ws = frame.weights.weights
     bound = None if change.is_exactly_invertible else max_weight
     inverse = invert_weight_triangular(change.poly, ws, bound)
-    return Frame([pushforward(x, change.poly, inverse, ws, bound) for x in adapted.fields],
+    return Frame(push_fields(adapted.fields, change.poly, inverse, ws, bound),
                  frame.weights, change.poly(adapted.base_point), check=False)
 
 
@@ -175,13 +175,14 @@ def psi_map(frame):
         alpha! a_{k,alpha} = -X^alpha(c)|_0,
 
     since a monomial x^beta of the same layer contributes alpha! a_alpha to
-    X^alpha(x^beta)|_0 when beta = alpha and nothing otherwise.  For step-2
-    weights there is nothing to correct and psi is the identity.
+    X^alpha(x^beta)|_0 when beta = alpha and nothing otherwise; in layer
+    |alpha| = m the i-th derivation of a chain keeps only degree <= m - i,
+    and the chains of a layer share prefixes.  For step-2 weights there is
+    nothing to correct and psi is the identity.
     """
     ws = frame.weights.weights
     n = frame.weights.n
-    origin = (Fraction(0),) * n
-    if frame.base_point != origin:
+    if any(frame.base_point):
         raise ValueError("psi_map expects the frame to be based at the origin")
     for j, x_field in enumerate(frame.fields):
         if adaptation_defect(x_field, j) is not None:
@@ -193,14 +194,16 @@ def psi_map(frame):
                          for alpha in iter_weighted_exponents(ws, d, "eq")
                          if sum(alpha) >= 2), key=lambda a: (sum(a), a))
         comp = RationalPoly.variable(n, k)
-        for _, layer in groupby(alphas, key=sum):
+        for m, layer in groupby(alphas, key=sum):
+            chains = {(): comp}  # applied field indices -> derived polynomial
             terms = {}
             for alpha in layer:
-                g = comp  # X^alpha(c) = X_1^{a_1} ... X_n^{a_n} c, X_n first
-                for j in reversed(range(n)):
-                    for _ in range(alpha[j]):
-                        g = frame.fields[j].apply(g)
-                value = g.evaluate(origin)
+                seq = ()  # X^alpha(c) = X_1^{a_1} ... X_n^{a_n} c, X_n first
+                for j in (j for j in reversed(range(n)) for _ in range(alpha[j])):
+                    prefix, seq = seq, seq + (j,)
+                    if seq not in chains:
+                        chains[seq] = frame.fields[j].apply(chains[prefix], m - len(seq))
+                value = chains[seq].terms.get((0,) * n)
                 if value:
                     terms[alpha] = -value / multi_factorial(alpha)
             comp = comp + RationalPoly(n, terms)
@@ -342,7 +345,7 @@ class EpsilonResult:
     @cached_property
     def carnot_frame(self):
         privileged = self.privileged_frame
-        fields = [pushforward(x, self.phi, self.exp_model) for x in privileged.fields]
+        fields = push_fields(privileged.fields, self.phi, self.exp_model)
         return Frame(fields, privileged.weights, privileged.base_point, check=False)
 
     def apply(self, point):
@@ -364,7 +367,7 @@ def epsilon(frame):
     affine, adapted = linearize(frame)
     psi = psi_map(adapted)
     psi_inv = invert_triangular(psi)
-    privileged_fields = [pushforward(x, psi, psi_inv) for x in adapted.fields]
+    privileged_fields = push_fields(adapted.fields, psi, psi_inv)
     wv = frame.weights
     models = [model_field(x, j, wv.weights)
               for j, x in enumerate(privileged_fields)]
@@ -413,10 +416,9 @@ def convert_nilpotent_approx(models, targets, weights):
     exp_y = exp_map(targets, wv)
     phi = TriangularMap(exp_y.compose(invert_triangular(exp_x)).components, wv)
     phi_inv = invert_triangular(phi)
-    for j in range(n):
-        if pushforward(models[j], phi, phi_inv) != targets[j]:
-            raise ArithmeticError("model conversion failed to match the "
-                                  "target basis; this is a bug")
+    if push_fields(models, phi, phi_inv) != list(targets):
+        raise ArithmeticError("model conversion failed to match the "
+                              "target basis; this is a bug")
     return phi
 
 

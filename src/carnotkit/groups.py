@@ -8,6 +8,7 @@ of two points is a polynomial with rational coefficients.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 import math
 import re
 
@@ -176,34 +177,29 @@ def dynkin_words(step):
     Returns tuples (coefficient, letters) where letters is a string over
     'x'/'y'; the final letter is the vector the preceding ad-operators act
     on.  Words whose last two letters coincide are dropped (ad_v v = 0), and
-    words longer than the step vanish by grading.  Block sequences that
-    spell the same letters are merged into one word with the summed
-    coefficient, and words whose coefficients cancel are dropped.
+    words longer than the step vanish by grading, as do zero coefficients.
+    A word of length L has the coefficient (1/L) sum_k ((-1)^{k-1}/k) sum
+    over its splits into k blocks x^s y^t of prod 1/(s! t!), summed by
+    dynamic programming over prefixes; words sort by their fewest-block split.
     """
-    words = {}
-
-    def blocks(nblocks, prefix, used):
-        if nblocks == 0:
-            yield prefix
-            return
-        for s in range(0, step - used + 1):
-            for t in range(0, step - used - s + 1):
-                if s + t == 0:
-                    continue
-                yield from blocks(nblocks - 1, prefix + ((s, t),), used + s + t)
-
-    for nb in range(1, step + 1):
-        for combo in blocks(nb, (), 0):
-            total = sum(s + t for s, t in combo)
-            letters = "".join("x" * s + "y" * t for s, t in combo)
-            if len(letters) >= 2 and letters[-1] == letters[-2]:
-                continue
-            denom = total
-            for s, t in combo:
-                denom *= math.factorial(s) * math.factorial(t)
-            coef = Fraction((-1) ** (nb - 1), nb) / denom
-            words[letters] = words.get(letters, 0) + coef
-    return tuple((coef, letters) for letters, coef in words.items() if coef)
+    # splits[w][k]: L! times the sum over k-block splits of w, an integer:
+    # a last block x^s y^t contributes C(L, s + t) C(s + t, s).
+    splits, words = {"": [1]}, []
+    for length in range(1, step + 1):
+        for w in map("".join, product("xy", repeat=length)):
+            head = w.rstrip("y")  # a last block is y^t, or x^s y^t over the whole y-run
+            t_max, s_max = length - len(head), len(head) - len(head.rstrip("x"))
+            splits[w] = row = [0] * (length + 1)
+            for s, t in ([(0, t) for t in range(1, t_max + 1)]
+                         + [(s, t_max) for s in range(1, s_max + 1)]):
+                scale = math.comb(length, s + t) * math.comb(s + t, s)
+                for k, g in enumerate(splits[w[:length - s - t]]):
+                    row[k + 1] += g * scale
+            coef = sum(Fraction((-1) ** (k - 1) * g, k) for k, g in enumerate(row) if g)
+            if coef and (length == 1 or w[-1] != w[-2]):
+                parts = [(b.count("x"), b.count("y")) for b in w.replace("yx", "y x").split()]
+                words.append(((len(parts), parts), coef / (math.factorial(length) * length), w))
+    return tuple((coef, w) for _, coef, w in sorted(words))
 
 
 def group_product(x, y, constants):

@@ -23,7 +23,8 @@ def mat_vec(a, v):
 
 
 def mat_inv(a):
-    """Exact inverse by Gauss-Jordan elimination on [a | I]."""
+    """Exact inverse by Gauss-Jordan elimination on [a | I]; each row
+    update runs over the nonzero entries of the pivot row only."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inversion needs a square matrix")
@@ -36,9 +37,12 @@ def mat_inv(a):
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
         pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+        if pv != 1:
+            work[col] = [x / pv for x in work[col]]
+        nonzero = [(i, y) for i, y in enumerate(work[col]) if y]
+        for r, row in enumerate(work):
+            f = row[col]
+            if r != col and f:
+                for i, y in nonzero:
+                    row[i] -= f * y
     return [row[n:] for row in work]

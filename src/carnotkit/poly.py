@@ -222,13 +222,10 @@ class RationalPoly:
         """d/dx_j, exact."""
         if not 0 <= j < self.n:
             raise ValueError("variable index out of range")
-        out = {}
-        for exp, c in self.terms.items():
-            e = exp[j]
-            if e:
-                nexp = exp[:j] + (e - 1,) + exp[j + 1:]
-                out[nexp] = out.get(nexp, Fraction(0)) + c * e
-        return RationalPoly(self.n, out)
+        # distinct exponents stay distinct and c * e != 0: nothing to merge
+        return RationalPoly._from_terms(self.n, {
+            exp[:j] + (exp[j] - 1,) + exp[j + 1:]: c * exp[j]
+            for exp, c in self.terms.items() if exp[j]})
 
     def evaluate(self, point):
         """Value at a point; exact for rational input, float otherwise."""
@@ -263,6 +260,8 @@ class RationalPoly:
                     raise ValueError("substitution polynomials must share a variable count")
         ws = None
         if bound is not None:
+            if weights is None:
+                raise ValueError("a weight bound needs weights")
             ws = as_weights(weights)
             if len(ws) != m:
                 raise ValueError("weights must grade the substitution variables")

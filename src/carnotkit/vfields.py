@@ -5,7 +5,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
-from .poly import PolyMap, RationalPoly
+from .poly import RationalPoly, _accumulate, _graded, _product
 
 
 class DegenerateFrameError(ValueError):
@@ -35,13 +35,12 @@ class PolyVectorField:
     def zero(cls, n):
         return cls([RationalPoly.zero(n) for _ in range(n)])
 
-    def apply(self, f):
-        """Derivation applied to a polynomial: X(f) = sum c_k df/dx_k."""
-        out = RationalPoly.zero(self.n)
-        for k, c in enumerate(self.coefficients):
-            if c:
-                out = out + c * f.partial(k)
-        return out
+    def apply(self, f, max_degree=None):
+        """Derivation applied to a polynomial: X(f) = sum c_k df/dx_k, with
+        only the terms of ordinary degree <= max_degree formed when given."""
+        if f.n != self.n:
+            raise ValueError("variable count mismatch (%d vs %d)" % (self.n, f.n))
+        return _derive(self.coefficients, f.partial, max_degree)
 
     def evaluate(self, point):
         return tuple(c.evaluate(point) for c in self.coefficients)
@@ -87,6 +86,21 @@ class PolyVectorField:
             else:
                 parts.append("(%s) d%d" % (cs, k + 1))
         return " + ".join(parts) if parts else "0"
+
+
+def _derive(coefficients, partial, max_degree=None):
+    """sum_k c_k * partial(k), each product clipped at ordinary degree
+    max_degree when it is given.  A derivation lowers the degree by at most
+    one, so when k more derivations come before the value at 0 is read, the
+    clip k keeps every term that value can see."""
+    ws = None if max_degree is None else (1,) * len(coefficients)
+    out = {}
+    for k, c in enumerate(coefficients):
+        d = partial(k) if c else None
+        if d:
+            _accumulate(out, _product(c.terms.items(), _graded(d.terms, ws),
+                                      ws, max_degree).items())
+    return RationalPoly._from_terms(len(coefficients), out)
 
 
 def bracket(x, y):
@@ -198,12 +212,16 @@ def pushforward(x_field, forward, inverse, weights=None, max_weight=None):
     instead of dragging exact garbage along (terms up to the bound come
     out identical either way).
     """
-    if forward.n_in != x_field.n:
+    return push_fields([x_field], forward, inverse, weights, max_weight)[0]
+
+
+def push_fields(fields, forward, inverse, weights=None, max_weight=None):
+    """``pushforward`` of each field, with each d_l m_k formed once per map."""
+    if any(x.n != forward.n_in for x in fields):
         raise ValueError("map and field dimensions differ")
-    coeffs = [x_field.apply(forward.components[k]).substitute(
-                  inverse.components, weights, max_weight)
-              for k in range(forward.n_out)]
-    return PolyVectorField(coeffs)
+    jacobian = [[m.partial(l) for l in range(forward.n_in)] for m in forward.components]
+    return [PolyVectorField([_derive(x.coefficients, row.__getitem__).substitute(
+        inverse.components, weights, max_weight) for row in jacobian]) for x in fields]
 
 
 class Frame:
@@ -327,17 +345,22 @@ def function_order(f, frame, n_max=None):
     a = frame.base_point
     if f.evaluate(a) != 0:
         return 0
+    # At the origin derived(seq) meets at most n_max - 1 - <seq> more
+    # derivations before its constant term is read; elsewhere all terms count.
+    at_origin = not any(a)
     cache = {(): f}
 
     def derived(seq):
         got = cache.get(seq)
         if got is None:
-            got = frame.fields[seq[0]].apply(derived(seq[1:]))
+            clip = n_max - 1 - sum(ws.weights[i] for i in seq) if at_origin else None
+            got = frame.fields[seq[0]].apply(derived(seq[1:]), clip)
             cache[seq] = got
         return got
 
     for target in range(1, n_max):
         for seq in _sequences_of_weight(ws, target):
-            if derived(seq).evaluate(a) != 0:
+            g = derived(seq)
+            if g.terms.get((0,) * ws.n) if at_origin else g.evaluate(a) != 0:
                 return target
     return None

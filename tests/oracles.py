@@ -125,6 +125,35 @@ def symbolic_law_frame(constants, n):
     return rows
 
 
+def enumerated_dynkin_words(step):
+    """(coefficient, letters) of the Dynkin series up to length ``step`` by
+    enumerating every sequence of blocks x^s y^t of total length <= step:
+    a k-block sequence spelling letters of length L adds
+    (-1)^{k-1} / (k L prod s! t!) to that word.  Words whose last two
+    letters coincide are skipped, words come in the order of their first
+    sequence, and words whose coefficients cancel are dropped."""
+    words = {}
+
+    def blocks(nblocks, prefix, used):
+        if nblocks == 0:
+            yield prefix
+            return
+        for s in range(0, step - used + 1):
+            for t in range(0, step - used - s + 1):
+                if s + t:
+                    yield from blocks(nblocks - 1, prefix + ((s, t),), used + s + t)
+
+    for nb in range(1, step + 1):
+        for combo in blocks(nb, (), 0):
+            letters = "".join("x" * s + "y" * t for s, t in combo)
+            if len(letters) >= 2 and letters[-1] == letters[-2]:
+                continue
+            denom = len(letters) * math.prod(math.factorial(s) * math.factorial(t)
+                                             for s, t in combo)
+            words[letters] = words.get(letters, 0) + Fraction((-1) ** (nb - 1), nb) / denom
+    return tuple((coef, letters) for letters, coef in words.items() if coef)
+
+
 # ---------------------------------------------------------------------------
 # Dense validation of a structure-constant table.
 # ---------------------------------------------------------------------------
@@ -547,3 +576,151 @@ def per_point_chart_report(frame, kind, m, eps, directions, step=1e-3):
 
     ws = frame.weights.weights
     return ow_scaling_test(residual, m, ws, ws, directions)
+
+
+# ---------------------------------------------------------------------------
+# Whole-polynomial derivation chains, per-field pushes and dense elimination.
+# ---------------------------------------------------------------------------
+
+def _partial(f, j):
+    return RationalPoly(f.n, [(exp[:j] + (exp[j] - 1,) + exp[j + 1:], c * exp[j])
+                              for exp, c in f.terms.items() if exp[j]])
+
+
+def derivation(field, f):
+    """X(f) = sum_k c_k d_k f on whole polynomials, nothing clipped."""
+    out = RationalPoly.zero(f.n)
+    for k, c in enumerate(field.coefficients):
+        out = out + c * _partial(f, k)
+    return out
+
+
+def _exponents(ws, budget):
+    """Every exponent tuple of weighted degree <= budget."""
+    if not ws:
+        yield ()
+        return
+    for e in range(budget // ws[0] + 1):
+        for rest in _exponents(ws[1:], budget - e * ws[0]):
+            yield (e,) + rest
+
+
+def unclipped_psi(frame):
+    """The psi correction with one whole-polynomial chain per alpha: in
+    increasing layers |alpha| >= 2 with <alpha> < w_k, component k gains
+    -X^alpha(c)|_0 / alpha! x^alpha, c being the component built from the
+    lower layers and X^alpha = X_1^{a_1} ... X_n^{a_n} (X_n acts first)."""
+    ws = tuple(frame.weights)
+    n = len(ws)
+    origin = (Fraction(0),) * n
+    comps = []
+    for k in range(n):
+        alphas = sorted((a for a in _exponents(ws, ws[k] - 1) if sum(a) >= 2),
+                        key=lambda a: (sum(a), a))
+        comp = RationalPoly.variable(n, k)
+        for size in sorted({sum(a) for a in alphas}):
+            terms = {}
+            for alpha in (a for a in alphas if sum(a) == size):
+                g = comp
+                for j in reversed(range(n)):
+                    for _ in range(alpha[j]):
+                        g = derivation(frame.fields[j], g)
+                value = g.evaluate(origin)
+                if value:
+                    terms[alpha] = -value / math.prod(math.factorial(e) for e in alpha)
+            comp = comp + RationalPoly(n, terms)
+        comps.append(comp)
+    return PolyMap(comps)
+
+
+def unclipped_function_order(f, frame, n_max=None):
+    """The order of f at the base point by evaluating every composed
+    derivation X_{i_1} ... X_{i_m} f of weight < n_max there, on whole
+    polynomials; None when all of them vanish (and for f = 0)."""
+    ws = tuple(frame.weights)
+    n_max = max(ws) + 1 if n_max is None else n_max
+    a = frame.base_point
+    if f.is_zero:
+        return None
+    if f.evaluate(a) != 0:
+        return 0
+
+    def sequences(target):
+        if target == 0:
+            yield ()
+            return
+        for i, w in enumerate(ws):
+            if w <= target:
+                for rest in sequences(target - w):
+                    yield (i,) + rest
+
+    cache = {(): f}
+
+    def derived(seq):
+        if seq not in cache:
+            cache[seq] = derivation(frame.fields[seq[0]], derived(seq[1:]))
+        return cache[seq]
+
+    for target in range(1, n_max):
+        if any(derived(seq).evaluate(a) != 0 for seq in sequences(target)):
+            return target
+    return None
+
+
+def per_field_pushforward(field, forward, inverse, weights=None, max_weight=None):
+    """Coefficient list of m_* X: X(m_k) composed with the inverse, each
+    X(m_k) differentiating m_k anew for this field."""
+    return [derivation(field, m_k).substitute(inverse.components, weights, max_weight)
+            for m_k in forward.components]
+
+
+def dense_mat_inv(rows):
+    """Exact inverse by Gauss-Jordan elimination on [a | I], every row
+    update over whole rows; ValueError("singular matrix") without a pivot."""
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def unclipped_epsilon(frame):
+    """(matrix, polynomial factor, Carnot-frame coefficient lists) of the
+    epsilon chart from the unclipped psi and per-field pushes: the affine
+    adaptation u = (B(a)^t)^{-1} (x - a), psi, the model fields of the
+    privileged frame, and phi = the inverse of their exponential."""
+    from carnotkit.coords import exp_map
+    from carnotkit.poly import invert_weight_triangular
+    from carnotkit.vfields import Frame, PolyVectorField, model_field
+
+    ws = tuple(frame.weights)
+    n = len(ws)
+    a = frame.base_point
+    b_t = [list(col) for col in zip(*(field.evaluate(a) for field in frame.fields))]
+    m = dense_mat_inv(b_t)
+    xs = [RationalPoly.variable(n, j) for j in range(n)]
+
+    def affine(matrix, shift):
+        return PolyMap([sum((x * c for x, c in zip(xs, row)), RationalPoly.const(n, s))
+                        for row, s in zip(matrix, shift)])
+
+    forward = affine(m, [-sum(c * v for c, v in zip(row, a)) for row in m])
+    inverse = affine(b_t, a)
+    adapted = [PolyVectorField(per_field_pushforward(x, forward, inverse))
+               for x in frame.fields]
+    psi = unclipped_psi(Frame(adapted, frame.weights, (0,) * n, check=False))
+    psi_inv = invert_weight_triangular(psi, ws)
+    privileged = [PolyVectorField(per_field_pushforward(x, psi, psi_inv)) for x in adapted]
+    exp_model = exp_map([model_field(x, j, ws) for j, x in enumerate(privileged)], ws)
+    phi = invert_weight_triangular(exp_model, ws)
+    return m, phi.compose(psi), [per_field_pushforward(x, phi, exp_model) for x in privileged]

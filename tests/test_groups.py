@@ -142,6 +142,12 @@ def test_dynkin_words_are_merged_by_letters():
         assert all(coef for coef, _ in words)
 
 
+def test_dynkin_words_match_the_block_enumeration():
+    for step in range(1, 9):
+        assert ({w: c for c, w in dynkin_words(step)}
+                == {w: c for c, w in oracles.enumerated_dynkin_words(step)})
+
+
 def test_structure_constants_round_trip(group_entry):
     sc = group_entry.constants
     frame = group_frame(sc)

@@ -86,6 +86,22 @@ def test_capped_compose_equals_truncated_exact_compose():
         assert capped.components == truncate_weight(exact, ws, bound).components
 
 
+def test_a_weight_bound_without_weights_is_bad_input():
+    ident = PolyMap.identity(2)
+    with pytest.raises(ValueError, match="bound needs weights"):
+        ident.compose(ident, None, 3)
+    with pytest.raises(ValueError, match="bound needs weights"):
+        RationalPoly.variable(2, 0).substitute(ident.components, None, 3)
+
+
+@given(small_polys(3, max_terms=4, max_exp=3), st.integers(min_value=0, max_value=2))
+def test_partial_matches_the_power_rule(p, j):
+    want = RationalPoly(3, [(e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                            for e, c in p.terms.items() if e[j]])
+    got = p.partial(j)
+    assert got == want and all(got.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # Printing.
 # ---------------------------------------------------------------------------
