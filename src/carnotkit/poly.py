@@ -89,6 +89,19 @@ def _product(left, right, ws=None, bound=None):
     return out
 
 
+def sum_of_products(nvars, pairs, max_degree=None):
+    """sum a * b over the (a, b) pairs of polynomials in ``nvars``
+    variables, forming only the terms of ordinary degree <= max_degree when
+    it is given (unit weights grade the clipped product)."""
+    ws = None if max_degree is None else (1,) * nvars
+    out = {}
+    for a, b in pairs:
+        if a and b:
+            _accumulate(out, _product(a.terms.items(), _graded(b.terms, ws), ws,
+                                      max_degree).items())
+    return RationalPoly._from_terms(nvars, out)
+
+
 class RationalPoly:
     """Sparse polynomial in n variables with Fraction coefficients."""
 

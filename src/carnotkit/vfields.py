@@ -5,7 +5,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
-from .poly import RationalPoly, _accumulate, _graded, _product
+from .poly import RationalPoly, sum_of_products
 
 
 class DegenerateFrameError(ValueError):
@@ -37,10 +37,13 @@ class PolyVectorField:
 
     def apply(self, f, max_degree=None):
         """Derivation applied to a polynomial: X(f) = sum c_k df/dx_k, with
-        only the terms of ordinary degree <= max_degree formed when given."""
+        only the terms of ordinary degree <= max_degree formed when given.
+        A derivation lowers the degree by at most one, so when k more come
+        before the value at 0 is read, the clip k keeps all that value sees."""
         if f.n != self.n:
             raise ValueError("variable count mismatch (%d vs %d)" % (self.n, f.n))
-        return _derive(self.coefficients, f.partial, max_degree)
+        return sum_of_products(self.n, [(c, f.partial(k)) for k, c in
+                                        enumerate(self.coefficients) if c], max_degree)
 
     def evaluate(self, point):
         return tuple(c.evaluate(point) for c in self.coefficients)
@@ -86,21 +89,6 @@ class PolyVectorField:
             else:
                 parts.append("(%s) d%d" % (cs, k + 1))
         return " + ".join(parts) if parts else "0"
-
-
-def _derive(coefficients, partial, max_degree=None):
-    """sum_k c_k * partial(k), each product clipped at ordinary degree
-    max_degree when it is given.  A derivation lowers the degree by at most
-    one, so when k more derivations come before the value at 0 is read, the
-    clip k keeps every term that value can see."""
-    ws = None if max_degree is None else (1,) * len(coefficients)
-    out = {}
-    for k, c in enumerate(coefficients):
-        d = partial(k) if c else None
-        if d:
-            _accumulate(out, _product(c.terms.items(), _graded(d.terms, ws),
-                                      ws, max_degree).items())
-    return RationalPoly._from_terms(len(coefficients), out)
 
 
 def bracket(x, y):
@@ -220,7 +208,7 @@ def push_fields(fields, forward, inverse, weights=None, max_weight=None):
     if any(x.n != forward.n_in for x in fields):
         raise ValueError("map and field dimensions differ")
     jacobian = [[m.partial(l) for l in range(forward.n_in)] for m in forward.components]
-    return [PolyVectorField([_derive(x.coefficients, row.__getitem__).substitute(
+    return [PolyVectorField([sum_of_products(x.n, zip(x.coefficients, row)).substitute(
         inverse.components, weights, max_weight) for row in jacobian]) for x in fields]
 
 
@@ -346,7 +334,7 @@ def function_order(f, frame, n_max=None):
     if f.evaluate(a) != 0:
         return 0
     # At the origin derived(seq) meets at most n_max - 1 - <seq> more
-    # derivations before its constant term is read; elsewhere all terms count.
+    # derivations before its value is read; elsewhere all terms count.
     at_origin = not any(a)
     cache = {(): f}
 
@@ -360,7 +348,6 @@ def function_order(f, frame, n_max=None):
 
     for target in range(1, n_max):
         for seq in _sequences_of_weight(ws, target):
-            g = derived(seq)
-            if g.terms.get((0,) * ws.n) if at_origin else g.evaluate(a) != 0:
+            if derived(seq).evaluate(a) != 0:
                 return target
     return None

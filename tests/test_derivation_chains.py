@@ -12,7 +12,7 @@ from carnotkit.groups import catalog
 from carnotkit.linalg import mat_inv
 from carnotkit.poly import RationalPoly, invert_weight_triangular
 from carnotkit.verify import generate_carnot_variants, generate_privileged_variants
-from carnotkit.vfields import PolyVectorField, function_order, pushforward
+from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
 
 import oracles
 from conftest import (CATALOG_FRAME_NAMES, filiform_frames, fractions,
@@ -76,6 +76,15 @@ def test_function_order_matches_unclipped_enumeration(frame, data):
         f = _at_base(fr, data.draw(low_degree_polys(n)))
         bound = data.draw(st.integers(min_value=1, max_value=min(r + 1, 5)))
         assert function_order(f, fr, bound) == oracles.unclipped_function_order(f, fr, bound)
+
+
+def test_function_order_reads_every_term_off_the_origin():
+    """At a = (1, 0, 0), X_1(x_1^3 - 1) = 3 x_1^2 is 3 at a through its
+    degree-2 term alone, so no term may be clipped there."""
+    heisenberg = catalog("heisenberg_3").frame
+    frame = Frame(heisenberg.fields, heisenberg.weights, (1, 0, 0))
+    f = RationalPoly.variable(3, 0) ** 3 - 1
+    assert function_order(f, frame, 2) == oracles.unclipped_function_order(f, frame, 2) == 1
 
 
 @settings(max_examples=10)
