@@ -8,13 +8,12 @@ numeric variants.
 """
 
 from .graded import (WeightVector, dilate, iter_weighted_exponents,
-                     ow_class_poly, ow_scaling_test, ow_violations,
-                     pseudo_norm, weighted_degree)
-from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
+                     ow_scaling_test, ow_violations, weighted_degree)
+from .poly import (PolyMap, RationalPoly, invert_triangular,
                    invert_perturbed_triangular, invert_weight_triangular)
 from .vfields import (DegenerateFrameError, Frame, PolyVectorField, bracket,
-                      expand, field_weight, function_order, model_field,
-                      pushforward, rescale)
+                      expand, function_order, model_field, pushforward,
+                      rescale)
 from .groups import (StructureConstants, catalog, catalog_names,
                      dynkin_product, group_frame, group_inverse,
                      group_product, left_invariant_fields,
@@ -34,12 +33,12 @@ from .selftest import run_all, run_criterion
 __version__ = "0.1.0"
 
 __all__ = [
-    "WeightVector", "dilate", "iter_weighted_exponents", "ow_class_poly",
-    "ow_scaling_test", "ow_violations", "pseudo_norm", "weighted_degree",
-    "PolyMap", "RationalPoly", "TriangularMap", "invert_triangular",
+    "WeightVector", "dilate", "iter_weighted_exponents", "ow_scaling_test",
+    "ow_violations", "weighted_degree",
+    "PolyMap", "RationalPoly", "invert_triangular",
     "invert_perturbed_triangular", "invert_weight_triangular",
     "DegenerateFrameError", "Frame", "PolyVectorField", "bracket", "expand",
-    "field_weight", "function_order", "model_field", "pushforward", "rescale",
+    "function_order", "model_field", "pushforward", "rescale",
     "StructureConstants", "catalog", "catalog_names", "dynkin_product",
     "group_frame", "group_inverse", "group_product",
     "left_invariant_fields", "structure_constants_at", "validate_algebra",

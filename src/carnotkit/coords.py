@@ -18,7 +18,7 @@ from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
 from .groups import model_structure_constants
-from .poly import (PolyMap, RationalPoly, TriangularMap, invert_triangular,
+from .poly import (PolyMap, RationalPoly, check_unit_triangular, invert_triangular,
                    invert_weight_triangular, term_sort_key, weight_shape)
 from .vfields import (Frame, PolyVectorField, adaptation_defect, expand,
                       model_field, push_fields)
@@ -208,7 +208,7 @@ def psi_map(frame):
                     terms[alpha] = -value / multi_factorial(alpha)
             comp = comp + RationalPoly(n, terms)
         comps.append(comp)
-    return TriangularMap(comps, frame.weights)
+    return check_unit_triangular(PolyMap(comps), ws)
 
 
 # ---------------------------------------------------------------------------
@@ -286,37 +286,34 @@ def _time_one(flow, y, xi):
 def exp_map(fields, weights):
     """Time-one flow from the origin as a map in xi: the exponential of the
     basis.  Requires a homogeneous model basis; the result is then a
-    weight-homogeneous triangular map with identity differential."""
+    weight-homogeneous unit-triangular map."""
     wv = WeightVector(weights)
     n = wv.n
     xi = [RationalPoly.variable(n, j) for j in range(n)]
-    comps = _time_one(exact_flow(fields, wv), [RationalPoly.zero(n)] * n, xi).components
+    out = _time_one(exact_flow(fields, wv), [RationalPoly.zero(n)] * n, xi)
     try:
-        out = TriangularMap(comps, wv)
+        check_unit_triangular(out, wv)
     except ValueError as exc:
         raise ValueError("exponential map shape violation (the fields are "
                          "not a homogeneous model basis): %s" % exc)
-    _check_homogeneous_triangular(out)
+    _check_homogeneous(out, wv.weights)
     return out
 
 
-def _check_homogeneous_triangular(m):
-    ws = m.weights.weights
-    for k in range(m.weights.n):  # x_k itself has weighted degree w_k
-        for exp in m.components[k].terms:
+def _check_homogeneous(m, ws):
+    for k, comp in enumerate(m.components):  # x_k itself has weighted degree w_k
+        for exp in comp.terms:
             if weighted_degree(exp, ws) != ws[k]:
                 raise ValueError(
                     "component %d carries a term of weighted degree != w_k; "
                     "the map is not weight-homogeneous" % (k + 1))
 
 
-def log_map(m):
+def log_map(m, weights):
     """Inverse of a homogeneous exponential; again weight-homogeneous
-    triangular with identity differential."""
-    if not isinstance(m, TriangularMap):
-        raise TypeError("log_map expects the TriangularMap from exp_map")
-    _check_homogeneous_triangular(m)
-    return invert_triangular(m)
+    unit-triangular."""
+    _check_homogeneous(m, as_weights(weights))
+    return invert_triangular(m, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +345,6 @@ class EpsilonResult:
         fields = push_fields(privileged.fields, self.phi, self.exp_model)
         return Frame(fields, privileged.weights, privileged.base_point, check=False)
 
-    def apply(self, point):
-        return self.change.apply(point)
-
-    def inverse_apply(self, point):
-        return self.change.inverse_apply(point)
-
 
 def epsilon(frame):
     """Carnot coordinates at the frame's base point.
@@ -366,13 +357,13 @@ def epsilon(frame):
     """
     affine, adapted = linearize(frame)
     psi = psi_map(adapted)
-    psi_inv = invert_triangular(psi)
-    privileged_fields = push_fields(adapted.fields, psi, psi_inv)
     wv = frame.weights
+    psi_inv = invert_triangular(psi, wv)
+    privileged_fields = push_fields(adapted.fields, psi, psi_inv)
     models = [model_field(x, j, wv.weights)
               for j, x in enumerate(privileged_fields)]
     exp_model = exp_map(models, wv)
-    phi = invert_triangular(exp_model)
+    phi = invert_triangular(exp_model, wv)
     change = CoordinateChange(affine.matrix, affine.offset, wv, phi.compose(psi))
     privileged_frame = Frame(privileged_fields, wv, (0,) * wv.n, check=False)
     return EpsilonResult(change, models, exp_model, phi,
@@ -414,8 +405,8 @@ def convert_nilpotent_approx(models, targets, weights):
                          "([X%d, X%d] differs at 0)" % (i + 1, j + 1))
     exp_x = exp_map(models, wv)
     exp_y = exp_map(targets, wv)
-    phi = TriangularMap(exp_y.compose(invert_triangular(exp_x)).components, wv)
-    phi_inv = invert_triangular(phi)
+    phi = check_unit_triangular(exp_y.compose(invert_triangular(exp_x, wv)), wv)
+    phi_inv = invert_triangular(phi, wv)
     if push_fields(models, phi, phi_inv) != list(targets):
         raise ArithmeticError("model conversion failed to match the "
                               "target basis; this is a bug")
@@ -431,21 +422,20 @@ class ChartResult:
     """An exact canonical chart: its CoordinateChange and the forward
     coordinate map xi -> x it inverts."""
 
-    def __init__(self, kind, change, forward):
-        self.kind = kind
+    def __init__(self, change, forward):
         self.change = change
         self.forward = forward
 
 
-def _package_chart(frame, kind, forward):
-    """The chart inverting the forward map xi -> x of the given kind, as a
+def _package_chart(frame, forward):
+    """The chart inverting the forward map xi -> x, as a
     CoordinateChange: T_a . forward, with T_a(x) = (B(a)^t)^{-1}(x - a),
     fixes the origin and is unipotent, and its exact inverse is the
     change's polynomial factor."""
     m, a = frame.adapted_matrix(), frame.base_point
     t_a = _affine_polymap(m, [-v for v in linalg.mat_vec(m, a)])
     chart = invert_weight_triangular(t_a.compose(forward), frame.weights.weights)
-    return ChartResult(kind, CoordinateChange(m, a, frame.weights, chart), forward)
+    return ChartResult(CoordinateChange(m, a, frame.weights, chart), forward)
 
 
 def canonical_first_kind(frame):
@@ -457,8 +447,7 @@ def canonical_first_kind(frame):
     n = frame.weights.n
     y = [RationalPoly.const(n, v) for v in frame.base_point]
     xi = [RationalPoly.variable(n, j) for j in range(n)]
-    return _package_chart(frame, "first",
-                          _time_one(exact_flow(frame.fields, frame.weights), y, xi))
+    return _package_chart(frame, _time_one(exact_flow(frame.fields, frame.weights), y, xi))
 
 
 def canonical_second_kind(frame):
@@ -476,7 +465,7 @@ def canonical_second_kind(frame):
     for j in reversed(range(n)):
         xi = [RationalPoly.variable(n, j) if l == j else zero for l in range(n)]
         current = _time_one(flow, current, xi).components
-    return _package_chart(frame, "second", PolyMap(current))
+    return _package_chart(frame, PolyMap(current))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weights, anisotropic dilations, pseudo-norms and O_w residual classes."""
+"""Weights, anisotropic dilations and O_w residual classes."""
 
 from fractions import Fraction
 import math
@@ -106,18 +106,6 @@ def dilate(x, t, weights):
     return tuple(xj * t ** w for xj, w in zip(x, ws))
 
 
-def pseudo_norm(x, weights):
-    """sum_j |x_j|^{1/w_j}; satisfies ||t . x|| = |t| ||x|| under dilations."""
-    ws = as_weights(weights)
-    if len(x) != len(ws):
-        raise ValueError("point/weights dimension mismatch")
-    total = 0.0
-    for xj, w in zip(x, ws):
-        a = abs(float(xj))
-        total += a if w == 1 else a ** (1.0 / w)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # O_w residual classes.
 #
@@ -149,11 +137,6 @@ def ow_violations(residual, m, weights):
                 bad.append((k, exp, coef))
     bad.sort(key=lambda item: (weighted_degree(item[1], ws), item[0], item[1]))
     return bad
-
-
-def ow_class_poly(residual, m, weights):
-    """Exact O_w membership test for a polynomial residual map."""
-    return not ow_violations(residual, m, weights)
 
 
 DEFAULT_T_GRID = tuple(Fraction(1, 2 ** k) for k in range(1, 11))

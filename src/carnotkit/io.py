@@ -41,10 +41,22 @@ def parse_frac(value, where):
     raise SchemaError("%s: expected a rational, got %r" % (where, value))
 
 
+def _is_int(value):
+    """A JSON integer: bools are ints in Python but not in JSON."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_field(obj, key, where):
+    """obj[key] as a list, [] when absent; anything else is a SchemaError."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError("%s: '%s' must be a list" % (where, key))
+    return value
+
+
 def _parse_weights(obj, where):
     ws = obj.get("weights")
-    if not isinstance(ws, list) or not ws or not all(
-            isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in ws):
+    if not isinstance(ws, list) or not ws or not all(_is_int(w) and w >= 1 for w in ws):
         raise SchemaError("%s: 'weights' must be a list of positive integers" % where)
     return tuple(ws)
 
@@ -71,17 +83,16 @@ def poly_from_obj(obj, where="polynomial"):
     if not isinstance(obj, dict):
         raise SchemaError("%s: expected an object" % where)
     n = obj.get("vars")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError("%s: 'vars' must be a positive integer" % where)
     terms = {}
-    for i, t in enumerate(obj.get("terms", [])):
+    for i, t in enumerate(_list_field(obj, "terms", where)):
         spot = "%s term %d" % (where, i)
         if not isinstance(t, dict):
             raise SchemaError("%s: expected an object" % spot)
         exp = t.get("exp")
         if (not isinstance(exp, list) or len(exp) != n or
-                not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0
-                        for e in exp)):
+                not all(_is_int(e) and e >= 0 for e in exp)):
             raise SchemaError("%s: 'exp' must be %d nonnegative integers" % (spot, n))
         key = tuple(exp)
         if key in terms:
@@ -108,13 +119,12 @@ def algebra_from_obj(obj, where="algebra"):
     ws = _parse_weights(obj, where)
     n = len(ws)
     table = {}
-    for idx, b in enumerate(obj.get("brackets", [])):
+    for idx, b in enumerate(_list_field(obj, "brackets", where)):
         spot = "%s bracket %d" % (where, idx)
         if not isinstance(b, dict):
             raise SchemaError("%s: expected an object" % spot)
-        try:
-            i, j, k = int(b["i"]), int(b["j"]), int(b["k"])
-        except (KeyError, TypeError, ValueError):
+        i, j, k = (b.get(key) for key in "ijk")
+        if not all(_is_int(v) for v in (i, j, k)):
             raise SchemaError("%s: needs integer 'i', 'j', 'k'" % spot)
         if not (1 <= i < j <= n and 1 <= k <= n):
             raise SchemaError("%s: indices out of range (need 1 <= i < j <= %d)"
@@ -223,10 +233,6 @@ def change_from_obj(obj, where="change"):
 # ---------------------------------------------------------------------------
 # Documents.
 # ---------------------------------------------------------------------------
-
-
-def algebra_document(constants):
-    return {"schema": SCHEMA, "kind": "algebra", "algebra": algebra_to_obj(constants)}
 
 
 def frame_document(frame):

@@ -1,4 +1,4 @@
-"""Exact sparse polynomials over Q, polynomial maps, triangular maps.
+"""Exact sparse polynomials over Q, polynomial maps and their inverses.
 
 A polynomial is a dict {exponent tuple: Fraction} with zero coefficients
 dropped eagerly, so equality is plain dict equality.  Variables are indexed
@@ -10,7 +10,7 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg
-from .graded import WeightVector, as_weights, weighted_degree
+from .graded import as_weights, weighted_degree
 
 
 def _coef(c):
@@ -391,11 +391,6 @@ class PolyMap:
         zero_exp = (0,) * self.n_in
         return tuple(c.terms.get(zero_exp, Fraction(0)) for c in self.components)
 
-    def jacobian_at(self, point):
-        return [[self.components[k].partial(j).evaluate(point)
-                 for j in range(self.n_in)]
-                for k in range(self.n_out)]
-
     def linear_matrix(self):
         """Differential at the origin: the degree-one coefficients, as Fraction rows."""
         rows = [[Fraction(0)] * self.n_in for _ in self.components]
@@ -448,25 +443,20 @@ def weight_shape(components, weights):
     return tails, ranks
 
 
-class TriangularMap(PolyMap):
-    """Unit-triangular map: component k is x_k plus monomials with
-    |alpha| >= 2 and <alpha> <= w_k.
-
-    Such corrections can only involve variables of weight < w_k, so these
-    maps form a group under composition and invert exactly by
-    back-substitution in increasing weight order.
-    """
-
-    def __init__(self, components, weights):
-        PolyMap.__init__(self, components)
-        self.weights = WeightVector(weights)
-        _, ranks = weight_shape(self.components, self.weights.weights)
-        for k, rank in enumerate(ranks):
-            if rank:
-                raise ValueError(
-                    "component %d is not unit-triangular: its tail needs "
-                    "terms of two or more factors and weighted degree <= w_%d"
-                    % (k + 1, k + 1))
+def check_unit_triangular(m, weights):
+    """``m`` when it is unit-triangular: component k is x_k plus monomials
+    with |alpha| >= 2 and <alpha> <= w_k.  Such corrections can only
+    involve variables of weight < w_k, so these maps form a group under
+    composition and invert exactly by back-substitution in increasing
+    weight order.  Raises ValueError otherwise."""
+    _, ranks = weight_shape(m.components, weights)
+    for k, rank in enumerate(ranks):
+        if rank:
+            raise ValueError(
+                "component %d is not unit-triangular: its tail needs "
+                "terms of two or more factors and weighted degree <= w_%d"
+                % (k + 1, k + 1))
+    return m
 
 
 def invert_weight_triangular(m, weights, max_weight=None):
@@ -514,9 +504,9 @@ def invert_weight_triangular(m, weights, max_weight=None):
     return g
 
 
-def invert_triangular(m):
-    """Exact inverse of a TriangularMap; again a TriangularMap."""
-    return TriangularMap(invert_weight_triangular(m, m.weights).components, m.weights)
+def invert_triangular(m, weights):
+    """Exact inverse of a unit-triangular map, checked to be one again."""
+    return check_unit_triangular(invert_weight_triangular(m, weights), weights)
 
 
 def invert_perturbed_triangular(m, weights, max_weight):

@@ -13,7 +13,8 @@ from .graded import (DEFAULT_T_GRID, DecayTrack, WeightVector, dilate,
                      weighted_degree)
 from .groups import (group_frame, group_product, left_invariant_fields,
                      model_structure_constants)
-from .poly import PolyMap, RationalPoly, TriangularMap, invert_weight_triangular, monomial_str
+from .poly import (PolyMap, RationalPoly, check_unit_triangular, invert_weight_triangular,
+                   monomial_str)
 from .vfields import (DegenerateFrameError, Frame, adaptation_defect, expand,
                       function_order)
 
@@ -201,7 +202,7 @@ def random_homogeneous_triangular(weights, rng, density=0.5):
             if rng.random() < density:
                 comp = comp + RationalPoly.monomial(n, exp, rng.choice(_COEF_POOL))
         comps.append(comp)
-    return TriangularMap(comps, wv)
+    return check_unit_triangular(PolyMap(comps), wv)
 
 
 def random_raising_perturbation(weights, rng):
@@ -265,7 +266,7 @@ def generate_adversarial_variants(change, count, rng):
     out = []
     while len(out) < count:
         hom = random_homogeneous_triangular(wv, rng, density=0.7)
-        if PolyMap(hom.components) == identity:
+        if hom == identity:
             continue
         out.append(change.compose_tail(hom))
     return out
@@ -352,9 +353,9 @@ def osculation_report(frame, n_directions=8, directions=None, rng=None,
                 continue
             minus_y = tuple(-v for v in y)
             r = tuple(p - q for p, q in
-                      zip(ey.apply(x), group_product(minus_y, x, constants)))
+                      zip(ey.change.apply(x), group_product(minus_y, x, constants)))
             rt = tuple(p - q for p, q in
-                       zip(ey.inverse_apply(x), group_product(y, x, constants)))
+                       zip(ey.change.inverse_apply(x), group_product(y, x, constants)))
             r_scaled = dilate(r, Fraction(1) / t, ws)
             rt_scaled = dilate(rt, Fraction(1) / t, ws)
             ts.append(t)
@@ -396,7 +397,7 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
 
     ws, ts = wv.weights, tuple(t_grid)
     points = [dilate(d, t, ws) for d in directions for t in ts]
-    residual = {xi: tuple(float(a) - float(b) for a, b in zip(eps.apply(map(Fraction, x)), xi))
+    residual = {xi: tuple(float(a) - float(b) for a, b in zip(eps.change.apply(x), xi))
                 for xi, x in zip(points, sampler(points) if points else ())}
     return ow_scaling_test(residual.__getitem__, m, ws, ws, directions, ts)
 
@@ -411,7 +412,7 @@ def group_translation_identity(constants, base_point, sample_points):
     minus_a = tuple(-Fraction(v) for v in base_point)
     bad = []
     for x in sample_points:
-        got = eps.apply(x)
+        got = eps.change.apply(x)
         want = group_product(minus_a, tuple(Fraction(v) for v in x), constants)
         if got != want:
             bad.append((x, got, want))

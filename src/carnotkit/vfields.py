@@ -129,12 +129,6 @@ def expand(x_field, weights):
             for deg, comps in sorted(buckets.items())}
 
 
-def field_weight(x_field, weights):
-    """Smallest homogeneous degree present (None for the zero field)."""
-    parts = expand(x_field, weights)
-    return min(parts) if parts else None
-
-
 def _partial_at_zero(poly, alpha):
     """d^alpha poly evaluated at the origin, by repeated differentiation."""
     g = poly

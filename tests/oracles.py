@@ -571,7 +571,7 @@ def per_point_chart_report(frame, kind, m, eps, directions, step=1e-3):
 
     def residual(xi):
         x = per_sample_chart_point(frame, kind, xi, step)
-        u = eps.apply(tuple(Fraction(v) for v in x))
+        u = eps.change.apply(tuple(Fraction(v) for v in x))
         return tuple(float(a) - float(b) for a, b in zip(u, xi))
 
     ws = frame.weights.weights

@@ -9,7 +9,7 @@ from carnotkit.graded import WeightVector
 from carnotkit.groups import (catalog, model_structure_constants,
                               structure_constants_at)
 from carnotkit.poly import (
-    PolyMap, RationalPoly, TriangularMap, invert_triangular,
+    PolyMap, RationalPoly, check_unit_triangular, invert_triangular,
 )
 from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
 from carnotkit.verify import (generate_adversarial_variants, generate_carnot_variants,
@@ -202,20 +202,21 @@ def test_psi_requires_adapted_fields():
 @given(step2_adapted_frames())
 def test_psi_is_identity_in_step_two(frame):
     psi = psi_map(frame)
-    assert PolyMap(list(psi.components)) == PolyMap.identity(frame.weights.n)
+    assert psi == PolyMap.identity(frame.weights.n)
 
 
 def test_psi_on_weight_breaking_step3_frame():
     frame = catalog("perturbed_engel_4").frame
     _, adapted = linearize(frame)
     psi = psi_map(adapted)
-    assert PolyMap(list(psi.components)) == oracles.perturbed_engel_psi()
+    assert psi == oracles.perturbed_engel_psi()
 
 
 def test_psi_output_is_triangular():
     frame = catalog("perturbed_engel_4").frame
     _, adapted = linearize(frame)
-    assert isinstance(psi_map(adapted), TriangularMap)
+    psi = psi_map(adapted)
+    assert check_unit_triangular(psi, frame.weights) is psi
 
 
 @given(filiform_frames())
@@ -224,7 +225,7 @@ def test_psi_matches_pairwise_formula_beyond_step_three(frame):
     linearize + psi coordinate x_k has derivation order w_k."""
     affine, adapted = linearize(frame)
     psi = psi_map(adapted)
-    assert PolyMap(list(psi.components)) == oracles.pairwise_psi(adapted)
+    assert psi == oracles.pairwise_psi(adapted)
     change = CoordinateChange(affine.matrix, affine.offset, frame.weights, psi)
     pushed = transform_frame(frame, change)
     ws = frame.weights.weights
@@ -303,7 +304,7 @@ def test_exact_flow_rejects_non_triangular_system():
 def test_exp_log_round_trip(group_entry):
     frame = group_entry.frame
     exp = exp_map(frame.fields, frame.weights)
-    log = log_map(exp)
+    log = log_map(exp, frame.weights)
     n = frame.weights.n
     assert exp.compose(log) == PolyMap.identity(n)
     assert log.compose(exp) == PolyMap.identity(n)
@@ -316,8 +317,11 @@ def test_exp_map_rejects_inhomogeneous_fields():
 
 
 def test_log_map_wants_triangular_input():
-    with pytest.raises(TypeError):
-        log_map(PolyMap.identity(3))
+    x1, x2, x3 = _vars(3)
+    with pytest.raises(ValueError, match="not unipotent"):
+        log_map(PolyMap([x1 + x2, x2, x3]), (1, 1, 2))
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        log_map(PolyMap([x1, x2, x3 + x1 ** 2 * x2]), (1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +332,8 @@ def test_epsilon_group_frame_is_left_translation():
     frame = catalog("heisenberg_3").frame
     inst = oracles.H3_EPSILON_INSTANCE
     res = epsilon(frame.at_base(inst["base"]))
-    assert res.apply(inst["point"]) == inst["image"]
-    assert res.inverse_apply(inst["image"]) == inst["point"]
+    assert res.change.apply(inst["point"]) == inst["image"]
+    assert res.change.inverse_apply(inst["image"]) == inst["point"]
 
 
 def test_epsilon_at_origin_of_group_frame_is_identity():
@@ -345,11 +349,11 @@ def test_epsilon_round_trip(frame_entry, rng):
     base = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                  for _ in range(n))
     res = epsilon(frame.at_base(base))
-    assert res.apply(base) == (Fraction(0),) * n
+    assert res.change.apply(base) == (Fraction(0),) * n
     for _ in range(3):
         pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                    for _ in range(n))
-        assert res.inverse_apply(res.apply(pt)) == pt
+        assert res.change.inverse_apply(res.change.apply(pt)) == pt
 
 
 def test_epsilon_carnot_fields_osculate_induced_group(frame_entry, rng):
@@ -419,11 +423,11 @@ def test_convert_nilpotent_approx_recovers_conjugation():
     frame = catalog("heisenberg_3").frame
     wv = frame.weights
     x1, x2, x3 = _vars(3)
-    m = TriangularMap([x1, x2, x3 + x1 * x2], wv)
-    m_inv = invert_triangular(m)
+    m = PolyMap([x1, x2, x3 + x1 * x2])
+    m_inv = invert_triangular(m, wv)
     targets = [pushforward(f, m, m_inv) for f in frame.fields]
     phi = convert_nilpotent_approx(frame.fields, targets, wv)
-    assert PolyMap(list(phi.components)) == PolyMap(list(m.components))
+    assert phi == m
 
 
 def test_convert_nilpotent_approx_rejects_different_constants():
@@ -505,7 +509,7 @@ def test_canonical_charts_match_the_construction_about_the_base_point(frame):
     for kind, build in (("first", canonical_first_kind), ("second", canonical_second_kind)):
         result = build(frame)
         poly, forward = oracles.unpackaged_canonical_chart(frame, kind, flow)
-        assert result.kind == kind and result.forward == forward
+        assert result.forward == forward
         assert result.change == CoordinateChange(frame.adapted_matrix(), frame.base_point,
                                                  frame.weights, poly)
 

@@ -118,8 +118,11 @@ def test_load_document_dispatch(group_entry):
     assert value.name == group_entry.name
     assert value.constants.table == group_entry.constants.table
 
-    kind, value = io.load_document(io.dumps(io.algebra_document(group_entry.constants)))
+    doc = {"schema": io.SCHEMA, "kind": "algebra",
+           "algebra": io.algebra_to_obj(group_entry.constants)}
+    kind, value = io.load_document(io.dumps(doc))
     assert kind == "algebra"
+    assert value == group_entry.constants
 
     kind, value = io.load_document(io.dumps(io.frame_document(group_entry.frame)))
     assert kind == "frame"
@@ -313,6 +316,44 @@ def test_cli_validate_flags_bad_algebra(capsys, tmp_path):
     assert cli.main(["validate", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False and out["failures"]
+
+
+def _h3_document(kind):
+    entry = catalog("heisenberg_3")
+    doc = json.loads(io.dumps(io.catalog_document(entry)))
+    return {"schema": doc["schema"], "kind": kind, kind: doc[kind]}
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("frame", "terms", 5), ("frame", "terms", None), ("frame", "terms", {"exp": [0, 0, 0]}),
+    ("algebra", "brackets", None), ("algebra", "brackets", 5), ("algebra", "brackets", "12"),
+])
+def test_cli_validate_rejects_non_list_terms_and_brackets(capsys, tmp_path, kind, key, value):
+    """A 'terms' or 'brackets' entry that is not a list is bad input
+    (exit 2), not a crash."""
+    doc = _h3_document(kind)
+    if kind == "frame":
+        doc["frame"]["fields"][0][0]["terms"] = value
+    else:
+        doc["algebra"]["brackets"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "'%s' must be a list" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
+def test_cli_validate_rejects_non_integer_bracket_index(capsys, tmp_path, index):
+    """Bracket indices are JSON integers: floats, bools and strings are
+    bad input (exit 2), never truncated or coerced."""
+    doc = _h3_document("algebra")
+    bracket = doc["algebra"]["brackets"][0]
+    assert (bracket["i"], bracket["j"], bracket["k"]) == (1, 2, 3)
+    bracket["i"] = index
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "needs integer 'i', 'j', 'k'" in capsys.readouterr().err
 
 
 def test_cli_selftest_subset(capsys):

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from carnotkit.graded import WeightVector
 from carnotkit.poly import (
-    PolyMap, RationalPoly, TriangularMap, invert_perturbed_triangular,
+    PolyMap, RationalPoly, check_unit_triangular, invert_perturbed_triangular,
     invert_triangular, invert_weight_triangular, monomial_str,
     take_weight_le, truncate_weight, weight_shape,
 )
@@ -123,25 +123,31 @@ def test_monomial_str(exp, coef, text):
 def _triangular_example():
     ws = WeightVector((1, 1, 2))
     x1, x2, x3 = (RationalPoly.variable(3, k) for k in range(3))
-    return TriangularMap([x1, x2, x3 + x1 * x2 * Fraction(1, 2)], ws), ws
+    return PolyMap([x1, x2, x3 + x1 * x2 * Fraction(1, 2)]), ws
 
 
 def test_triangular_shape_enforced():
     ws = WeightVector((1, 1, 2))
     x1, x2, x3 = (RationalPoly.variable(3, k) for k in range(3))
-    with pytest.raises(ValueError):
+    m, _ = _triangular_example()
+    assert check_unit_triangular(m, ws) is m
+    with pytest.raises(ValueError, match="not unipotent"):
         # linear off-diagonal term is not a triangular correction
-        TriangularMap([x1 + x2, x2, x3], ws)
-    with pytest.raises(ValueError):
+        check_unit_triangular(PolyMap([x1 + x2, x2, x3]), ws)
+    with pytest.raises(ValueError, match="not unit-triangular"):
         # weighted degree above w_k
-        TriangularMap([x1, x2, x3 + x1 ** 3], ws)
+        check_unit_triangular(PolyMap([x1, x2, x3 + x1 ** 3]), ws)
 
 
 def test_invert_triangular_round_trip():
     m, ws = _triangular_example()
-    inv = invert_triangular(m)
+    inv = invert_triangular(m, ws)
     assert m.compose(inv) == PolyMap.identity(3)
     assert inv.compose(m) == PolyMap.identity(3)
+    x1, x2, x3 = (RationalPoly.variable(3, k) for k in range(3))
+    with pytest.raises(ValueError, match="not unit-triangular"):
+        # exactly invertible, but x3 - x1 has no unit-triangular inverse
+        invert_triangular(PolyMap([x1, x2, x3 + x1]), ws)
 
 
 def test_invert_weight_triangular_allows_lower_weight_tails():
@@ -297,8 +303,7 @@ def test_polymap_compose_associative():
 def test_polymap_jacobian_and_linear_part():
     x1, x2 = (RationalPoly.variable(2, k) for k in range(2))
     f = PolyMap([x1 + 2 * x2 + x1 * x2, x2 - x1 * x1])
-    jac = f.jacobian_at((Fraction(0), Fraction(0)))
-    assert jac == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
+    assert f.linear_matrix() == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(
@@ -311,7 +316,8 @@ def test_linear_matrix_is_jacobian_at_origin(rows):
              for p, coefs in rows]
     m = PolyMap(comps)
     lin = m.linear_matrix()
-    assert lin == m.jacobian_at((Fraction(0),) * n)
+    origin = (Fraction(0),) * n
+    assert lin == [[c.partial(j).evaluate(origin) for j in range(n)] for c in comps]
     assert all(isinstance(c, Fraction) for row in lin for c in row)
 
 

@@ -15,7 +15,7 @@ from carnotkit.verify import (
     _carnot_residual, check_carnot, check_privileged, generate_adversarial_variants,
     generate_carnot_variants, generate_privileged_variants,
     group_translation_identity, numeric_chart_report, osculation_report,
-    random_raising_perturbation,
+    random_osculation_directions, random_raising_perturbation,
 )
 
 import oracles
@@ -200,6 +200,26 @@ def test_adversarial_variants_impossible_in_step_one(rng):
 # ---------------------------------------------------------------------------
 # Osculation.
 # ---------------------------------------------------------------------------
+
+def _rational_root(q, w):
+    """The positive rational r with r ** w == q, or None."""
+    num, den = (round(v ** (1 / w)) for v in (q.numerator, q.denominator))
+    r = Fraction(num, den) if num and den else None
+    return r if r is not None and r ** w == q else None
+
+
+@given(weights=st.lists(st.integers(1, 5), min_size=1, max_size=8).map(sorted),
+       seed=st.integers(0, 2 ** 32))
+def test_osculation_directions_have_pseudo_norm_exactly_one(weights, seed):
+    """Each x_j is +-q_j^{w_j} for a positive rational q_j with sum q_j = 1:
+    the pseudo-norm sum |x_j|^{1/w_j} is exactly one, a claim no float
+    evaluation of that sum could certify."""
+    for pair in random_osculation_directions(weights, 3, random.Random(seed)):
+        for point in pair:
+            assert all(isinstance(v, Fraction) for v in point)
+            roots = [_rational_root(abs(v), w) for v, w in zip(point, weights)]
+            assert None not in roots and sum(roots) == 1
+
 
 def test_osculation_exact_on_group_frame(h3_frame):
     directions = [((Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)),

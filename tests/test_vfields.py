@@ -8,8 +8,8 @@ from carnotkit.groups import catalog, left_invariant_fields
 from carnotkit import vfields
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.vfields import (
-    Frame, PolyVectorField, adaptation_defect, bracket, expand, field_weight,
-    function_order, model_field, pushforward, rescale,
+    Frame, PolyVectorField, adaptation_defect, bracket, expand, function_order,
+    model_field, pushforward, rescale,
 )
 
 from conftest import fractions, points, small_polys
@@ -82,8 +82,9 @@ def test_rescale_scales_each_part_by_its_degree():
 
 def test_field_weight_examples(h3_frame):
     ws = h3_frame.weights
-    assert field_weight(h3_frame.fields[0], ws) == -1
-    assert field_weight(PolyVectorField.zero(3), ws) is None
+    # a field's weight is the lowest degree of its homogeneous parts
+    assert min(expand(h3_frame.fields[0], ws)) == -1
+    assert expand(PolyVectorField.zero(3), ws) == {}
     pert = catalog("perturbed_heisenberg_3").frame
     parts = expand(pert.fields[0], pert.weights)
     assert sorted(parts) == [-1, 0]
