@@ -7,12 +7,12 @@ Inputs are JSON documents (see io.py) given as a file path, a catalog name
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or input
 errors, 3 internal error (an ArithmeticError: two routes disagreed, which
-is a bug).  The CARNOT_SEED environment variable overrides --seed
-everywhere.
+is a bug).  ``main`` returns every code; bad input is any ValueError, io's
+SchemaError included, and only argparse exits by itself (usage, --help).
+The CARNOT_SEED environment variable overrides --seed everywhere.
 """
 
 import argparse
-from fractions import Fraction
 import os
 import random
 import sys
@@ -21,44 +21,38 @@ from . import io, linalg
 from .coords import (CoordinateChange, NumericChart, canonical_first_kind,
                      canonical_second_kind, epsilon, linearize, psi_map)
 from .groups import catalog, catalog_names, dynkin_product, validate_algebra
-from .poly import PolyMap
+from .poly import RationalPoly
 from .selftest import run_all
 from .vfields import Frame, function_order
 from .verify import check_carnot, check_privileged, osculation_report
-
-
-def _fail(code, message):
-    print("error: %s" % message, file=sys.stderr)
-    raise SystemExit(code)
 
 
 def _emit(doc):
     print(io.dumps(doc))
 
 
-def _parse_point(text, n, what="point"):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        _fail(2, "%s needs %d comma-separated rationals, got %r" % (what, n, text))
+def _load_file(path, check_frames=True):
+    """(kind, value) of the document at path; an unreadable path is bad input."""
     try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        _fail(2, "cannot parse %s %r" % (what, text))
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError("cannot read %r: %s" % (path, exc.strerror))
+    return io.load_document(text, check_frames=check_frames)
 
 
 def _read_source(arg, check_frames=True):
     """(kind, value) from a file path, catalog name, or '-'/piped stdin."""
     if arg is None or arg == "-":
         if arg is None and sys.stdin.isatty():
-            _fail(2, "no input: pass a file, a catalog name, or pipe a document")
+            raise ValueError("no input: pass a file, a catalog name, or pipe a document")
         return io.load_document(sys.stdin.read(), check_frames=check_frames)
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return io.load_document(fh.read(), check_frames=check_frames)
+        return _load_file(arg, check_frames)
     try:
         return "catalog", catalog(arg)
     except KeyError:
-        _fail(2, "input %r is neither a file, a catalog name, nor '-'" % arg)
+        raise ValueError("input %r is neither a file, a catalog name, nor '-'" % arg)
 
 
 def _as_algebra(kind, value):
@@ -66,7 +60,7 @@ def _as_algebra(kind, value):
         return value
     if kind == "catalog":
         return value.constants
-    _fail(2, "this command needs an algebra (or catalog) document, got %r" % kind)
+    raise ValueError("this command needs an algebra (or catalog) document, got %r" % kind)
 
 
 def _as_frame(kind, value, base=None):
@@ -75,9 +69,9 @@ def _as_frame(kind, value, base=None):
     elif kind == "catalog":
         frame = value.frame
     else:
-        _fail(2, "this command needs a frame (or catalog) document, got %r" % kind)
+        raise ValueError("this command needs a frame (or catalog) document, got %r" % kind)
     if base is not None:
-        frame = frame.at_base(_parse_point(base, frame.n, "--base"))
+        frame = frame.at_base(io.parse_point(base.split(","), frame.n, "--base"))
     return frame
 
 
@@ -87,10 +81,10 @@ def _seed(args, required=False):
         try:
             return int(env)
         except ValueError:
-            _fail(2, "CARNOT_SEED must be an integer, got %r" % env)
+            raise ValueError("CARNOT_SEED must be an integer, got %r" % env)
     seed = getattr(args, "seed", None)
     if seed is None and required:
-        _fail(2, "this command is randomized: pass --seed or set CARNOT_SEED")
+        raise ValueError("this command is randomized: pass --seed or set CARNOT_SEED")
     return seed
 
 
@@ -109,13 +103,12 @@ def _resolve_change(selector, frame):
         return CoordinateChange(linalg.identity_matrix(frame.n), frame.base_point,
                                 frame.weights)
     if os.path.exists(selector):
-        with open(selector) as fh:
-            kind, value = io.load_document(fh.read())
+        kind, value = _load_file(selector)
         if kind != "change":
-            _fail(2, "--change file must hold a change document, got %r" % kind)
+            raise ValueError("--change file must hold a change document, got %r" % kind)
         return value
-    _fail(2, "--change must be epsilon, first-kind, second-kind, psi, "
-             "identity, or a change-document path (got %r)" % selector)
+    raise ValueError("--change must be epsilon, first-kind, second-kind, psi, "
+                     "identity, or a change-document path (got %r)" % selector)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def cmd_catalog(args):
     try:
         entry = catalog(args.name)
     except KeyError as exc:
-        _fail(2, exc.args[0])
+        raise ValueError(exc.args[0])
     _emit(io.catalog_document(entry))
     return 0
 
@@ -154,8 +147,8 @@ def cmd_validate(args):
 
 def cmd_group_law(args):
     constants = _as_algebra(*_read_source(args.input))
-    x = _parse_point(args.x, constants.n, "--x")
-    y = _parse_point(args.y, constants.n, "--y")
+    x = io.parse_point(args.x.split(","), constants.n, "--x")
+    y = io.parse_point(args.y.split(","), constants.n, "--y")
     z = dynkin_product(x, y, constants)
     _emit({"x": io.point_obj(x), "y": io.point_obj(y), "product": io.point_obj(z)})
     return 0
@@ -195,28 +188,22 @@ def cmd_order(args):
     frame = _as_frame(*_read_source(args.input), base=args.base)
     n = frame.n
     if args.coordinate is not None and args.poly is not None:
-        _fail(2, "--coordinate and --poly are mutually exclusive")
+        raise ValueError("--coordinate and --poly are mutually exclusive")
     if args.coordinate is not None:
         if not 1 <= args.coordinate <= n:
-            _fail(2, "--coordinate must be in 1..%d" % n)
-        from .poly import RationalPoly
+            raise ValueError("--coordinate must be in 1..%d" % n)
         f = RationalPoly.variable(n, args.coordinate - 1)
         label = "x%d" % args.coordinate
     elif args.poly is not None:
-        import json
-        try:
-            obj = json.loads(args.poly)
-        except json.JSONDecodeError as exc:
-            _fail(2, "--poly is not valid JSON: %s" % exc)
-        f = io.poly_from_obj(obj, "--poly")
+        f = io.poly_from_obj(io.decode_json(args.poly, "--poly"), "--poly")
         if f.n != n:
-            _fail(2, "--poly uses %d variables, the frame has %d" % (f.n, n))
+            raise ValueError("--poly uses %d variables, the frame has %d" % (f.n, n))
         label = str(f)
     else:
-        _fail(2, "pass --coordinate K or --poly '<json>'")
+        raise ValueError("pass --coordinate K or --poly '<json>'")
     bound = args.bound if args.bound is not None else frame.step + 1
     if bound < 1:
-        _fail(2, "--bound must be at least 1, got %d" % bound)
+        raise ValueError("--bound must be at least 1, got %d" % bound)
     order = function_order(f, frame, n_max=bound)
     _emit({"function": label, "order": order, "bound": bound,
            "note": None if order is not None
@@ -268,7 +255,7 @@ def cmd_check_carnot(args):
 def cmd_osculate(args):
     frame = _as_frame(*_read_source(args.input), base=args.base)
     if args.directions < 1:
-        _fail(2, "--directions must be at least 1, got %d" % args.directions)
+        raise ValueError("--directions must be at least 1, got %d" % args.directions)
     seed = _seed(args, required=True)
     rng = random.Random("carnotkit:osculate:%d" % seed)
     report = osculation_report(frame, n_directions=args.directions, rng=rng)
@@ -283,8 +270,8 @@ def cmd_selftest(args):
         try:
             only = {int(c) for c in args.criteria.split(",")}
         except ValueError:
-            _fail(2, "--criteria wants comma-separated integers, got %r"
-                  % args.criteria)
+            raise ValueError("--criteria wants comma-separated integers, got %r"
+                             % args.criteria)
     report = run_all(seed, only=only)
     for line in report.lines():
         print(line)
@@ -397,9 +384,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except io.SchemaError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -5,11 +5,13 @@ Documents are flat JSON objects carrying ``schema`` ("carnot-kit/1") and
 is encoded as a string rational ("-3/4"); plain JSON integers are accepted
 on load, floats never are (they only appear inside explicitly numeric
 blocks such as fitted charts).  Bracket and component indices are 1-based
-in the files, 0-based in memory.
+in the files, 0-based in memory.  The CLI reads its numbers and JSON here too.
 """
 
 from fractions import Fraction
 import json
+import re
+import reprlib
 
 from .coords import CoordinateChange
 from .groups import CatalogEntry, StructureConstants
@@ -28,17 +30,26 @@ def frac_str(x):
 
 
 def parse_frac(value, where):
+    """A JSON integer, or a string of optional sign, digits and optional
+    "/digits" (surrounding whitespace allowed).  No decimal point, exponent
+    or "_": "1e10000000" would cost seconds to expand."""
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError("%s: %r is not exact; encode rationals as strings "
                           "like \"-3/4\"" % (where, value))
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if not isinstance(value, str):
+        raise SchemaError("%s: expected a rational, got %r" % (where, value))
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value.strip())
+    if match is not None:
+        num, den = match.groups()
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError("%s: cannot parse rational %r" % (where, value))
-    raise SchemaError("%s: expected a rational, got %r" % (where, value))
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):  # "p/0", or past int's digit cap
+            pass
+    raise SchemaError("%s: cannot parse rational %s; write an integer or "
+                      "\"p/q\" like \"-3/4\" (no decimal point, exponent or _)"
+                      % (where, reprlib.repr(value)))
 
 
 def _is_int(value):
@@ -61,10 +72,17 @@ def _parse_weights(obj, where):
     return tuple(ws)
 
 
-def _parse_point(values, n, where):
+def parse_point(values, n, where):
     if not isinstance(values, list) or len(values) != n:
         raise SchemaError("%s: expected a list of %d rationals" % (where, n))
     return tuple(parse_frac(v, where) for v in values)
+
+
+def decode_json(text, where):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+        raise SchemaError("%s is not valid JSON: %s" % (where, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def frame_from_obj(obj, where="frame", check=True):
         raise SchemaError("%s: expected an object" % where)
     ws = _parse_weights(obj, where)
     n = len(ws)
-    base = _parse_point(obj.get("base_point", [0] * n), n, "%s base_point" % where)
+    base = parse_point(obj.get("base_point", [0] * n), n, "%s base_point" % where)
     fields_obj = obj.get("fields")
     if not isinstance(fields_obj, list) or len(fields_obj) != n:
         raise SchemaError("%s: 'fields' must list exactly %d fields" % (where, n))
@@ -208,7 +226,7 @@ def change_from_obj(obj, where="change"):
             raise SchemaError("%s: 'affine.matrix' must be %d x %d" % (where, n, n))
         matrix = [[parse_frac(c, "%s matrix" % where) for c in row]
                   for row in matrix_obj]
-    offset = _parse_point(affine.get("offset", [0] * n), n, "%s offset" % where)
+    offset = parse_point(affine.get("offset", [0] * n), n, "%s offset" % where)
     tri = obj.get("triangular", {})
     if not isinstance(tri, dict):
         raise SchemaError("%s: 'triangular' must be an object" % where)
@@ -258,13 +276,9 @@ def load_document(source, check_frames=True):
     Returns (kind, value): StructureConstants for "algebra", Frame for
     "frame", CoordinateChange for "change", CatalogEntry for "catalog".
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("not valid JSON: %s" % exc)
-    else:
-        obj = source
+    obj = source
+    if isinstance(obj, (str, bytes)):
+        obj = decode_json(obj, "document")
     if not isinstance(obj, dict):
         raise SchemaError("document must be a JSON object")
     schema = obj.get("schema")

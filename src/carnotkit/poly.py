@@ -16,7 +16,7 @@ from .graded import as_weights, weighted_degree
 def _coef(c):
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, (int, str)):
+    if isinstance(c, int):
         return Fraction(c)
     raise TypeError("expected a rational coefficient, got %r" % (c,))
 

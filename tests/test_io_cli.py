@@ -155,9 +155,7 @@ def test_cli_catalog_document(capsys):
 
 
 def test_cli_catalog_unknown_name(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["catalog", "nosuchgroup"])
-    assert err.value.code == 2
+    assert cli.main(["catalog", "nosuchgroup"]) == 2
     assert "unknown catalog entry" in capsys.readouterr().err
 
 
@@ -278,9 +276,7 @@ def test_cli_order(capsys):
 
 
 def test_cli_order_rejects_bad_coordinate():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["order", "heisenberg_3", "--coordinate", "9"])
-    assert err.value.code == 2
+    assert cli.main(["order", "heisenberg_3", "--coordinate", "9"]) == 2
 
 
 def test_cli_canonical2_forward(capsys):
@@ -374,26 +370,21 @@ def test_cli_selftest_rejects_unknown_criteria(capsys, criteria, unknown):
 
 @pytest.mark.parametrize("directions", ["0", "-3"])
 def test_cli_osculate_rejects_nonpositive_directions(capsys, directions):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["osculate", "heisenberg_3", "--seed", "1",
-                  "--directions", directions])
-    assert err.value.code == 2
+    assert cli.main(["osculate", "heisenberg_3", "--seed", "1",
+                     "--directions", directions]) == 2
     assert "--directions" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bound", ["-2", "0"])
 def test_cli_order_rejects_nonpositive_bound(capsys, bound):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["order", "heisenberg_3", "--coordinate", "3", "--bound", bound])
-    assert err.value.code == 2
+    assert cli.main(["order", "heisenberg_3", "--coordinate", "3",
+                     "--bound", bound]) == 2
     assert "--bound" in capsys.readouterr().err
 
 
 def test_cli_selftest_requires_seed(capsys, monkeypatch):
     monkeypatch.delenv("CARNOT_SEED", raising=False)
-    with pytest.raises(SystemExit) as err:
-        cli.main(["selftest"])
-    assert err.value.code == 2
+    assert cli.main(["selftest"]) == 2
     assert "--seed" in capsys.readouterr().err
 
 
@@ -405,9 +396,7 @@ def test_cli_seed_env_override(capsys, monkeypatch):
 
 def test_cli_osculate_requires_seed(monkeypatch):
     monkeypatch.delenv("CARNOT_SEED", raising=False)
-    with pytest.raises(SystemExit) as err:
-        cli.main(["osculate", "heisenberg_3"])
-    assert err.value.code == 2
+    assert cli.main(["osculate", "heisenberg_3"]) == 2
 
 
 def test_cli_osculate_runs(capsys, monkeypatch):
@@ -419,9 +408,7 @@ def test_cli_osculate_runs(capsys, monkeypatch):
 
 
 def test_cli_bad_input_name():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["group-law", "nosuchthing", "--x", "1", "--y", "1"])
-    assert err.value.code == 2
+    assert cli.main(["group-law", "nosuchthing", "--x", "1", "--y", "1"]) == 2
 
 
 def test_cli_schema_error_is_exit_2(capsys, tmp_path):
