@@ -78,10 +78,7 @@ def _as_frame(kind, value, base=None):
 def _seed(args, required=False):
     env = os.environ.get("CARNOT_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("CARNOT_SEED must be an integer, got %r" % env)
+        return io.parse_int(env, "CARNOT_SEED")
     seed = getattr(args, "seed", None)
     if seed is None and required:
         raise ValueError("this command is randomized: pass --seed or set CARNOT_SEED")
@@ -268,7 +265,7 @@ def cmd_selftest(args):
     only = None
     if args.criteria:
         try:
-            only = {int(c) for c in args.criteria.split(",")}
+            only = {io.parse_int(c, "--criteria") for c in args.criteria.split(",")}
         except ValueError:
             raise ValueError("--criteria wants comma-separated integers, got %r"
                              % args.criteria)
@@ -331,11 +328,11 @@ def build_parser():
 
     p = sub.add_parser("order", help="derivation order of a coordinate function")
     _add_input(p)
-    p.add_argument("--coordinate", type=int, metavar="K",
+    p.add_argument("--coordinate", metavar="K",
                    help="1-based coordinate index")
     p.add_argument("--poly", metavar="JSON",
                    help="inline polynomial object instead of a coordinate")
-    p.add_argument("--bound", type=int,
+    p.add_argument("--bound",
                    help="search weights < BOUND (default: step + 1)")
     p.set_defaults(func=cmd_order)
 
@@ -347,11 +344,11 @@ def build_parser():
         p.add_argument("--numeric", action="store_true",
                        help="RK4 sampling + least-squares chart instead of "
                             "the exact construction")
-        p.add_argument("--degree", type=int)
-        p.add_argument("--samples", type=int)
+        p.add_argument("--degree")
+        p.add_argument("--samples")
         p.add_argument("--box", type=float, default=0.25)
         p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed")
         p.set_defaults(func=fn)
 
     for name, fn, blurb in (
@@ -368,12 +365,12 @@ def build_parser():
 
     p = sub.add_parser("osculate", help="tangent-group osculation test")
     _add_input(p)
-    p.add_argument("--directions", type=int, default=8)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--directions", default="8")
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_osculate)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--criteria", help="comma-separated criterion numbers")
     p.set_defaults(func=cmd_selftest)
 
@@ -382,7 +379,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
+    try:  # integer options arrive as text; io parses them, like every number
+        for name in ("seed", "bound", "coordinate", "directions", "degree", "samples"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, io.parse_int(getattr(args, name), "--" + name))
         return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

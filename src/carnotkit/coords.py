@@ -19,7 +19,8 @@ from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
 from .groups import model_structure_constants
 from .poly import (PolyMap, RationalPoly, check_unit_triangular, invert_triangular,
-                   invert_weight_triangular, term_sort_key, weight_shape)
+                   invert_weight_triangular, substitute_all, term_sort_key,
+                   weight_shape)
 from .vfields import (Frame, PolyVectorField, adaptation_defect, expand,
                       model_field, push_fields)
 
@@ -47,7 +48,7 @@ class CoordinateChange:
     def __init__(self, matrix, offset, weights, poly=None):
         self.weights = WeightVector(weights)
         n = self.weights.n
-        self.matrix = linalg.as_matrix(matrix)
+        self.matrix = [[Fraction(x) for x in row] for row in matrix]
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("matrix must be %d x %d" % (n, n))
         self.matrix_inv = linalg.mat_inv(self.matrix)  # raises when singular
@@ -267,12 +268,8 @@ def exact_flow(fields, weights):
     solution = [None] * n
     for k in sorted(range(n), key=lambda i: ws[i]):
         args = [solution[l] if solution[l] is not None else zero for l in range(n)]
-        rhs = RationalPoly.zero(nn)
-        for j in range(n):
-            coef = fields[j].coefficients[k]
-            if coef.is_zero:
-                continue
-            rhs = rhs + xi_vars[j] * coef.substitute(args)
+        column = substitute_all([x.coefficients[k] for x in fields], args)
+        rhs = sum((xi * c for xi, c in zip(xi_vars, column) if c), zero)
         solution[k] = y_vars[k] + _integrate_last(rhs)
     return PolyMap(solution)
 

@@ -129,13 +129,6 @@ def validate_algebra(constants):
     return AlgebraReport(not failures, failures)
 
 
-def _require_valid(constants):
-    report = validate_algebra(constants)
-    if not report.ok:
-        raise ValueError("structure constants are not a graded Lie algebra: %s"
-                         % "; ".join(report.failures[:3]))
-
-
 def _ad_rows(constants, x):
     """Sparse row form of ad_x: {k: [(j, entry), ...]} with zero rows dropped."""
     n = constants.n
@@ -213,7 +206,10 @@ def group_product(x, y, constants):
     n = constants.n
     if len(x) != n or len(y) != n:
         raise ValueError("points must have dimension %d" % n)
-    _require_valid(constants)
+    report = validate_algebra(constants)
+    if not report.ok:
+        raise ValueError("structure constants are not a graded Lie algebra: %s"
+                         % "; ".join(report.failures[:3]))
     ads = {"x": _ad_rows(constants, x), "y": _ad_rows(constants, y)}
     vecs = {"x": x, "y": y}
 

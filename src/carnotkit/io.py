@@ -19,6 +19,7 @@ from .poly import PolyMap, RationalPoly, term_sort_key
 from .vfields import Frame, PolyVectorField
 
 SCHEMA = "carnot-kit/1"
+_INTEGER = r"[+-]?[0-9]+"  # the one integer grammar of outside text
 
 
 class SchemaError(ValueError):
@@ -40,7 +41,7 @@ def parse_frac(value, where):
         return Fraction(value)
     if not isinstance(value, str):
         raise SchemaError("%s: expected a rational, got %r" % (where, value))
-    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value.strip())
+    match = re.fullmatch(r"(%s)(?:/([0-9]+))?" % _INTEGER, value.strip())
     if match is not None:
         num, den = match.groups()
         try:
@@ -50,6 +51,18 @@ def parse_frac(value, where):
     raise SchemaError("%s: cannot parse rational %s; write an integer or "
                       "\"p/q\" like \"-3/4\" (no decimal point, exponent or _)"
                       % (where, reprlib.repr(value)))
+
+
+def parse_int(text, where):
+    """An integer option or environment value in parse_frac's grammar:
+    optional sign and digits, surrounding whitespace allowed, no "_"."""
+    match = re.fullmatch(_INTEGER, text.strip())
+    if match is not None:
+        try:
+            return int(match.group())
+        except ValueError:  # past int's digit cap
+            pass
+    raise SchemaError("%s must be an integer, got %s" % (where, reprlib.repr(text)))
 
 
 def _is_int(value):
@@ -270,15 +283,13 @@ def catalog_document(entry):
             "frame": frame_to_obj(entry.frame)}
 
 
-def load_document(source, check_frames=True):
-    """Parse a document from JSON text (or an already-decoded dict).
+def load_document(text, check_frames=True):
+    """Parse a document from JSON text.
 
     Returns (kind, value): StructureConstants for "algebra", Frame for
     "frame", CoordinateChange for "change", CatalogEntry for "catalog".
     """
-    obj = source
-    if isinstance(obj, (str, bytes)):
-        obj = decode_json(obj, "document")
+    obj = decode_json(text, "document")
     if not isinstance(obj, dict):
         raise SchemaError("document must be a JSON object")
     schema = obj.get("schema")

@@ -6,10 +6,6 @@ Only meant for the tiny systems that show up here (n <= 10 or so).
 from fractions import Fraction
 
 
-def as_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity_matrix(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 

@@ -2,11 +2,14 @@
 
 A polynomial is a dict {exponent tuple: Fraction} with zero coefficients
 dropped eagerly, so equality is plain dict equality.  Variables are indexed
-from 0 internally and printed as x1, ..., xn.
+from 0 internally and printed as x1, ..., xn.  Substitution, and with it
+composition, pushes and inverses, runs one batch kernel (``substitute_all``)
+on integer numerators; its results hold Fractions like every polynomial.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm, prod
 from operator import add
 
 from . import linalg
@@ -254,47 +257,11 @@ class RationalPoly:
         return total
 
     def substitute(self, args, weights=None, bound=None):
-        """Plug polynomials in for the variables (args[j] replaces x_j).
-
-        With ``weights`` and ``bound`` given, monomials of the result whose
-        weighted degree exceeds ``bound`` are dropped: every power and
-        partial product is clipped inside the product itself (see
-        ``_product``), so a pair of terms that can only land above the bound
-        is never formed.  Every surviving term is still exact.
-        """
-        if len(args) != self.n:
-            raise ValueError("need %d substitution polynomials" % self.n)
-        if self.n == 0:
-            m = 0
-        else:
-            m = args[0].n
-            for g in args:
-                if not isinstance(g, RationalPoly) or g.n != m:
-                    raise ValueError("substitution polynomials must share a variable count")
-        ws = None
-        if bound is not None:
-            if weights is None:
-                raise ValueError("a weight bound needs weights")
-            ws = as_weights(weights)
-            if len(ws) != m:
-                raise ValueError("weights must grade the substitution variables")
-            if bound < 0:  # every monomial, the constant one included, is above it
-                return RationalPoly(m)
-        zero = (0,) * m
-        powers = [[] for _ in args]  # [j][e - 1]: args[j]^e, graded once per call
-        acc = {}
-        for exp, c in self.terms.items():
-            term = {zero: c}
-            for j, e in enumerate(exp):
-                if e:
-                    pj = powers[j]
-                    if not pj:
-                        pj.append(_graded(args[j].terms, ws))
-                    while len(pj) < e:
-                        pj.append(_graded(_product(pj[-1][1], pj[0], ws, bound), ws))
-                    term = _product(term.items(), pj[e - 1], ws, bound)
-            _accumulate(acc, term.items())
-        return RationalPoly._from_terms(m, acc)
+        """Plug polynomials in for the variables (args[j] replaces x_j),
+        dropping the monomials of weighted degree above ``bound`` when
+        ``weights`` and ``bound`` are given: ``substitute_all`` on this one
+        polynomial, exact over integer numerators."""
+        return substitute_all([self], args, weights, bound)[0]
 
     def sorted_terms(self):
         return [(exp, self.terms[exp]) for exp in sorted(self.terms, key=term_sort_key)]
@@ -313,6 +280,61 @@ class RationalPoly:
 
     def __repr__(self):
         return "RationalPoly(%d, %s)" % (self.n, str(self))
+
+
+def substitute_all(polys, args, weights=None, bound=None):
+    """``p.substitute(args, weights, bound)`` for each p of ``polys``.
+
+    Each args[j] is an integer polynomial a_j over one integer denominator,
+    so every product runs on ints.  The image a_1^{e_1}...a_j^{e_j} of each
+    exponent met is formed once per call, as the image of the exponent with
+    e_j lowered by one times a_j, j its last variable; every polynomial of
+    the batch reads it.  A bound clips each product as it is formed (see
+    ``_product``), which weights >= 0 make exact.  Each polynomial sums its
+    terms' images over one common denominator into Fraction coefficients.
+    """
+    n, m = len(args), args[0].n if args else 0
+    if any(p.n != n for p in polys):
+        raise ValueError("need one substitution polynomial per variable")
+    if any(not isinstance(g, RationalPoly) or g.n != m for g in args):
+        raise ValueError("substitution polynomials must share a variable count")
+    ws = None
+    if bound is not None:
+        if weights is None:
+            raise ValueError("a weight bound needs weights")
+        ws = as_weights(weights)
+        if len(ws) != m:
+            raise ValueError("weights must grade the substitution variables")
+        if bound < 0:  # every monomial, the constant one included, is above it
+            return [RationalPoly(m) for _ in polys]
+    dens = [lcm(*(c.denominator for c in g.terms.values())) for g in args]
+    graded = [_graded({e: c.numerator * (d // c.denominator) for e, c in g.terms.items()},
+                      ws) for g, d in zip(args, dens)]
+    images = {(0,) * n: [((0,) * m, 1)]}  # exponent -> items of its image
+
+    def image(exp):
+        chain = []  # (exponent, j) down to the first exponent already imaged
+        while exp not in images:
+            j = max(i for i, e in enumerate(exp) if e)
+            chain.append((exp, j))
+            exp = exp[:j] + (exp[j] - 1,) + exp[j + 1:]
+        got = images[exp]
+        for exp, j in reversed(chain):
+            got = images[exp] = list(_product(got, graded[j], ws, bound).items())
+        return got
+
+    out = []
+    for p in polys:
+        scaled = [(exp, c.numerator, c.denominator * prod(map(pow, dens, exp)))
+                  for exp, c in p.terms.items()]
+        common = lcm(*(den for _, _, den in scaled))
+        acc = {}
+        for exp, num, den in scaled:
+            k = num * (common // den)
+            _accumulate(acc, [(e, k * v) for e, v in image(exp)])
+        out.append(RationalPoly._from_terms(
+            m, {e: Fraction(v, common) for e, v in acc.items()}))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +382,7 @@ class PolyMap:
             raise TypeError("can only compose with another PolyMap")
         if other.n_out != self.n_in:
             raise ValueError("composition dimension mismatch")
-        return PolyMap([c.substitute(other.components, weights, bound)
-                        for c in self.components])
+        return PolyMap(substitute_all(self.components, other.components, weights, bound))
 
     def __sub__(self, other):
         if not isinstance(other, PolyMap):
@@ -494,7 +515,7 @@ def invert_weight_triangular(m, weights, max_weight=None):
                  for q in tails]
     g = [RationalPoly.zero(n)] * n
     for d in range(1, max_weight + 1):
-        rhs = [y - q.substitute(g, ws, d) for y, q in zip(ident, nonlinear)]
+        rhs = [y - q for y, q in zip(ident, substitute_all(nonlinear, g, ws, d))]
         g = [sum((p * c for p, c in zip(rhs, row) if c), RationalPoly.zero(n))
              for row in l_inv]
     g = PolyMap(g)

@@ -37,10 +37,6 @@ class VerificationReport:
         return "VerificationReport(%s: %s)" % (self.kind, state)
 
 
-def _witness(k, exp, coef):
-    return "%s in component %d" % (monomial_str(exp, coef), k + 1)
-
-
 def _push_through(frame, change):
     if change.weights != frame.weights:
         raise ValueError("change weights %s differ from the frame's %s"
@@ -171,7 +167,8 @@ def check_carnot(frame, change, eps=None):
             "Carnot verdicts disagree: model-part route says %s, residual "
             "route says %s (violations=%s); this is a bug"
             % (route_a, route_b, violations[:3]))
-    witnesses.extend(_witness(k, exp, coef) for k, exp, coef in violations)
+    witnesses.extend("%s in component %d" % (monomial_str(exp, coef), k + 1)
+                     for k, exp, coef in violations)
     return VerificationReport("carnot", route_a, witnesses,
                               {"privileged": priv, "constants": constants,
                                "residual_violations": violations,

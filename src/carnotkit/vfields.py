@@ -5,7 +5,7 @@ from fractions import Fraction
 from . import linalg
 from .graded import (WeightVector, as_weights, iter_weighted_exponents,
                      multi_factorial, weighted_degree)
-from .poly import RationalPoly, sum_of_products
+from .poly import RationalPoly, substitute_all, sum_of_products
 
 
 class DegenerateFrameError(ValueError):
@@ -202,8 +202,10 @@ def push_fields(fields, forward, inverse, weights=None, max_weight=None):
     if any(x.n != forward.n_in for x in fields):
         raise ValueError("map and field dimensions differ")
     jacobian = [[m.partial(l) for l in range(forward.n_in)] for m in forward.components]
-    return [PolyVectorField([sum_of_products(x.n, zip(x.coefficients, row)).substitute(
-        inverse.components, weights, max_weight) for row in jacobian]) for x in fields]
+    pulled = iter(substitute_all([sum_of_products(x.n, zip(x.coefficients, row))
+                                  for x in fields for row in jacobian],
+                                 inverse.components, weights, max_weight))
+    return [PolyVectorField([next(pulled) for _ in jacobian]) for _ in fields]
 
 
 class Frame:

@@ -48,6 +48,44 @@ def small_polys(n, max_terms=4, max_exp=3):
     return st.lists(term, min_size=0, max_size=max_terms).map(build)
 
 
+STEP3_WEIGHTS = [(1, 1, 2, 3), (1, 2, 3), (1, 1, 2, 3, 3)]
+
+
+@st.composite
+def step3_unipotent_maps(draw, raising, lowering=False):
+    """Component k is x_k plus products of two or three variables of weight
+    below w_k and then, when ``raising``, possibly a linear x_j with
+    w_j > w_k, when also ``lowering`` a linear x_j with w_j < w_k, and a
+    product x_i x_j with w_j >= w_k, else possibly a constant."""
+    ws = draw(st.sampled_from(STEP3_WEIGHTS))
+    n = len(ws)
+    xs = [RationalPoly.variable(n, j) for j in range(n)]
+    comps = []
+    for k in range(n):
+        comp = xs[k]
+        lower = [j for j in range(n) if ws[j] < ws[k]]
+        for _ in range(draw(st.integers(0, 2)) if lower else 0):
+            factors = draw(st.lists(st.sampled_from(lower), min_size=2, max_size=3))
+            term = draw(fractions(4, 3))
+            for j in factors:
+                term = term * xs[j]
+            comp = comp + term
+        if raising:
+            higher = [j for j in range(n) if ws[j] > ws[k]]
+            if higher and draw(st.booleans()):
+                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(higher))]
+            if lowering and lower and draw(st.booleans()):
+                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(lower))]
+            if draw(st.booleans()):
+                j = draw(st.sampled_from([j for j in range(n) if ws[j] >= ws[k]]))
+                i = draw(st.integers(0, n - 1))
+                comp = comp + draw(fractions(4, 3)) * xs[i] * xs[j]
+        elif draw(st.booleans()):
+            comp = comp + draw(fractions(4, 3))
+        comps.append(comp)
+    return PolyMap(comps), ws
+
+
 CATALOG_GROUP_NAMES = [
     "abelian_3", "heisenberg_3", "heisenberg_5", "engel_4", "step3_filiform_5",
 ]

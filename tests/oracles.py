@@ -416,6 +416,63 @@ def step2_log_instance():
 
 
 # ---------------------------------------------------------------------------
+# Substitution one polynomial at a time, on Fraction coefficients.
+# ---------------------------------------------------------------------------
+
+def _clipped_product(left, right, ws, bound):
+    """left * right for term dicts over Fractions; with a bound, products
+    of weighted degree above it are dropped as they are formed."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if bound is None or sum(w * k for w, k in zip(ws, e)) <= bound:
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_substitute(p, args, weights=None, bound=None):
+    """p(args[0], ..., args[n - 1]), clipped at weighted degree ``bound``
+    when one is given: the per-polynomial loop the package ran before its
+    batch kernel.  Each term is multiplied by the powers args[j]^e_j, which
+    are formed once per call, and every coefficient stays a Fraction."""
+    m = args[0].n if args else 0
+    if bound is not None and bound < 0:
+        return RationalPoly(m)
+    powers = [[] for _ in args]  # [j][e - 1]: args[j]^e
+    acc = {}
+    for exp, c in p.terms.items():
+        term = {(0,) * m: c}
+        for j, e in enumerate(exp):
+            if e:
+                pj = powers[j]
+                if not pj:
+                    pj.append(dict(args[j].terms))
+                while len(pj) < e:
+                    pj.append(_clipped_product(pj[-1], pj[0], weights, bound))
+                term = _clipped_product(term, pj[e - 1], weights, bound)
+        for e, v in term.items():
+            acc[e] = acc.get(e, Fraction(0)) + v
+    return RationalPoly(m, acc)
+
+
+def fraction_layered_inverse(m, ws, max_weight):
+    """The layered truncated inverse g = L^{-1}(y - N(g)), pass d clipping
+    N(g) at d, with each nonlinear part N_k substituted on its own by
+    ``fraction_substitute``; L^{-1} by ``dense_mat_inv``."""
+    n = len(ws)
+    ident = [RationalPoly.variable(n, j) for j in range(n)]
+    l_inv = dense_mat_inv(m.linear_matrix())
+    nonlinear = [RationalPoly(n, {e: c for e, c in comp.terms.items() if sum(e) > 1})
+                 for comp in m.components]
+    g = [RationalPoly.zero(n)] * n
+    for d in range(1, max_weight + 1):
+        rhs = [y - fraction_substitute(q, g, ws, d) for y, q in zip(ident, nonlinear)]
+        g = [sum((p * c for p, c in zip(rhs, row)), RationalPoly.zero(n)) for row in l_inv]
+    return PolyMap(g)
+
+
+# ---------------------------------------------------------------------------
 # The truncated inverse by fixed-point sweeps, and an exact determinant.
 # ---------------------------------------------------------------------------
 

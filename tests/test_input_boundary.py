@@ -1,7 +1,7 @@
 """Outside input enters through one boundary: io parses every number and
 document, and cli.main turns every bad input into one error line, exit 2.
 
-- the rational grammar and its rejected forms;
+- the rational and integer grammar and their rejected forms;
 - one malformed document per io rejection;
 - every subcommand and every --change selector, run in process against the
   library call it wraps;
@@ -64,6 +64,18 @@ def test_parse_frac_error_is_short_on_a_huge_string():
 def test_parse_point_reads_cli_text():
     assert io.parse_point(" 1/2, -3 ,0".split(","), 3, "--x") == (
         Fraction(1, 2), Fraction(-3), Fraction(0))
+
+
+@pytest.mark.parametrize("value,want", [(" 3 ", 3), ("+5", 5), ("-0", 0), ("-12", -12)])
+def test_parse_int_reads_sign_and_digits(value, want):
+    assert io.parse_int(value, "--n") == want
+
+
+@pytest.mark.parametrize("value", ["1_0", "1/1", "1.0", "1e3", "", "+", "١", "1" * 100000])
+def test_parse_int_rejects_what_parse_frac_rejects_and_fractions(value):
+    with pytest.raises(io.SchemaError, match="^--n must be an integer, got ") as err:
+        io.parse_int(value, "--n")
+    assert len(str(err.value)) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +257,26 @@ BAD_INPUT = {
                  lambda mp: mp.setenv("CARNOT_SEED", "x")),
     "criteria": (["selftest", "--seed", "1", "--criteria", "1,x"],
                  "--criteria wants", None),
+    "criteria-digit-groups": (["selftest", "--seed", "1", "--criteria", "1_0"],
+                              "--criteria wants", None),
+    "seed-digit-groups": (["selftest", "--seed", "1_0", "--criteria", "1"],
+                          "--seed must be an integer, got '1_0'", None),
+    "seed-env-digit-groups": (["selftest", "--criteria", "1"],
+                              "CARNOT_SEED must be an integer, got '1_0'",
+                              lambda mp: mp.setenv("CARNOT_SEED", "1_0")),
+    "bound-digit-groups": (ORDER + ["--coordinate", "3", "--bound", "3_0"],
+                           "--bound must be an integer, got '3_0'", None),
+    "coordinate-decimal": (ORDER + ["--coordinate", "1.0"],
+                           "--coordinate must be an integer, got '1.0'", None),
+    "directions-digit-groups": (["osculate", "heisenberg_3", "--seed", "1",
+                                 "--directions", "1_0"],
+                                "--directions must be an integer, got '1_0'", None),
+    "degree-digit-groups": (["canonical1", "heisenberg_3", "--numeric", "--seed", "1",
+                             "--degree", "1_0"],
+                            "--degree must be an integer, got '1_0'", None),
+    "samples-digit-groups": (["canonical2", "heisenberg_3", "--numeric", "--seed", "1",
+                              "--samples", "8_0"],
+                             "--samples must be an integer, got '8_0'", None),
     "change-selector": (["check-carnot", "heisenberg_3", "--change", "nosuch"],
                         "--change must be", None),
     "change-file-kind": (["check-carnot", "heisenberg_3", "--change", "{catalog}"],
@@ -265,6 +297,14 @@ def test_cli_bad_input_is_one_error_line(capsys, monkeypatch, tmp_path, row):
     assert (code, out) == (2, "")
     assert err.startswith("error: " + message)
     assert len(err.splitlines()) == 1
+
+
+def test_cli_integer_options_allow_surrounding_whitespace(capsys):
+    """Integers and rationals share one grammar: surrounding whitespace is
+    allowed, as in --x, and the padded option means the plain one."""
+    plain = _run(capsys, ORDER + ["--coordinate", "3", "--bound", "3"])
+    assert plain[0] == 0 and json.loads(plain[1])["bound"] == 3
+    assert _run(capsys, ORDER + ["--coordinate", " 3", "--bound", " 3 "]) == plain
 
 
 @pytest.mark.parametrize("argv", [["epsilon", "{dir}"],
@@ -426,8 +466,9 @@ def test_subcommand_table_covers_the_parser():
 # ---------------------------------------------------------------------------
 
 def test_outside_text_is_parsed_only_by_io():
-    """cli.py calls no Fraction, json.loads or SystemExit and opens files in
-    one function; polynomial coefficients are never parsed from text."""
+    """cli.py calls no Fraction, int, json.loads or SystemExit and opens
+    files in one function; polynomial coefficients are never parsed from
+    text."""
     with pytest.raises(TypeError):
         poly._coef("1/2")
     with pytest.raises(TypeError):
@@ -435,7 +476,7 @@ def test_outside_text_is_parsed_only_by_io():
     tree = ast.parse(Path(cli.__file__).read_text())
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     callees = [ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    assert not names & {"Fraction", "SystemExit"}
+    assert not names & {"Fraction", "SystemExit", "int"}
     assert "json.loads" not in callees and "loads" not in names
     openers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                for n in ast.walk(f)

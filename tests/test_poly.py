@@ -10,7 +10,7 @@ from carnotkit.poly import (
     take_weight_le, truncate_weight, weight_shape,
 )
 
-from conftest import fractions, points, small_polys
+from conftest import fractions, points, small_polys, step3_unipotent_maps
 from oracles import determinant, sweep_truncated_inverse
 
 
@@ -178,44 +178,6 @@ def test_invert_perturbed_triangular_rejects_bad_leading_part():
     m = PolyMap([x1, x1])
     with pytest.raises(ValueError):
         invert_perturbed_triangular(m, ws, 4)
-
-
-STEP3_WEIGHTS = [(1, 1, 2, 3), (1, 2, 3), (1, 1, 2, 3, 3)]
-
-
-@st.composite
-def step3_unipotent_maps(draw, raising, lowering=False):
-    """Component k is x_k plus products of two or three variables of weight
-    below w_k and then, when ``raising``, possibly a linear x_j with
-    w_j > w_k, when also ``lowering`` a linear x_j with w_j < w_k, and a
-    product x_i x_j with w_j >= w_k, else possibly a constant."""
-    ws = draw(st.sampled_from(STEP3_WEIGHTS))
-    n = len(ws)
-    xs = [RationalPoly.variable(n, j) for j in range(n)]
-    comps = []
-    for k in range(n):
-        comp = xs[k]
-        lower = [j for j in range(n) if ws[j] < ws[k]]
-        for _ in range(draw(st.integers(0, 2)) if lower else 0):
-            factors = draw(st.lists(st.sampled_from(lower), min_size=2, max_size=3))
-            term = draw(fractions(4, 3))
-            for j in factors:
-                term = term * xs[j]
-            comp = comp + term
-        if raising:
-            higher = [j for j in range(n) if ws[j] > ws[k]]
-            if higher and draw(st.booleans()):
-                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(higher))]
-            if lowering and lower and draw(st.booleans()):
-                comp = comp + draw(fractions(4, 3)) * xs[draw(st.sampled_from(lower))]
-            if draw(st.booleans()):
-                j = draw(st.sampled_from([j for j in range(n) if ws[j] >= ws[k]]))
-                i = draw(st.integers(0, n - 1))
-                comp = comp + draw(fractions(4, 3)) * xs[i] * xs[j]
-        elif draw(st.booleans()):
-            comp = comp + draw(fractions(4, 3))
-        comps.append(comp)
-    return PolyMap(comps), ws
 
 
 @given(step3_unipotent_maps(raising=True), st.integers(0, 2))
