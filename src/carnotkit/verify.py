@@ -41,8 +41,10 @@ def _push_through(frame, change):
     if change.weights != frame.weights:
         raise ValueError("change weights %s differ from the frame's %s"
                          % (change.weights.weights, frame.weights.weights))
-    origin = (Fraction(0),) * frame.weights.n
-    if change.apply(frame.base_point) != origin:
+    # The polynomial factor fixes the origin and M is invertible, so the
+    # change is centred at a exactly when its offset is a; a truncated
+    # factor may vanish elsewhere as well, which change(a) = 0 would let in.
+    if change.offset != frame.base_point:
         raise ValueError("change does not map the frame's base point to the "
                          "origin; center the chart first")
     # transform_frame ignores the bound when the change inverts exactly.

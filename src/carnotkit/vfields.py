@@ -125,7 +125,7 @@ def expand(x_field, weights):
         for e, cc in c.terms.items():
             deg = weighted_degree(e, ws) - ws[k]
             buckets.setdefault(deg, [dict() for _ in range(n)])[k][e] = cc
-    return {deg: PolyVectorField([RationalPoly(n, d) for d in comps])
+    return {deg: PolyVectorField([RationalPoly._from_terms(n, d) for d in comps])
             for deg, comps in sorted(buckets.items())}
 
 
@@ -293,21 +293,17 @@ class Frame:
             self.n, self.weights.weights, tuple(str(x) for x in self.base_point))
 
 
-def _sequences_of_weight(weights, target):
-    """All index sequences (i_1, ..., i_m) with w_{i_1} + ... + w_{i_m} = target."""
-    ws = as_weights(weights)
-    n = len(ws)
-
-    def rec(remaining):
-        if remaining == 0:
-            yield ()
+def _add_to_echelon(basis, g):
+    """Add g to ``basis`` ({largest exponent: polynomial}) reduced against
+    it, unless it reduces to zero; each subtraction retires the current
+    largest exponent and brings in only smaller ones."""
+    while g:
+        lead = max(g.terms)
+        row = basis.get(lead)
+        if row is None:
+            basis[lead] = g
             return
-        for i in range(n):
-            if ws[i] <= remaining:
-                for rest in rec(remaining - ws[i]):
-                    yield (i,) + rest
-
-    yield from rec(target)
+        g = g - row * (g.terms[lead] / row.terms[lead])
 
 
 def function_order(f, frame, n_max=None):
@@ -315,9 +311,14 @@ def function_order(f, frame, n_max=None):
     composed derivation X_{i_1} ... X_{i_m} f with weight sum N is nonzero
     at the base point (N = 0 when f itself is nonzero there).
 
-    Only weights < n_max are enumerated (default r + 1); returns None when
-    every candidate up to that bound vanishes, meaning "order >= n_max".
-    The zero function returns None at once: every derivation of it vanishes.
+    Weights are examined level by level through the spans
+    V_0 = span{f}, V_t = sum_i X_i V_{t - w_i}: V_t is spanned by the words
+    of weight t applied to f, and evaluation is linear, so some word of
+    weight t is nonzero at the base point exactly when some X_i g is, for g
+    in an echelon basis of V_{t - w_i}.  Only weights < n_max are examined
+    (default r + 1); returns None when all of them vanish, meaning
+    "order >= n_max".  The zero function returns None at once: every
+    derivation of it vanishes.
     """
     ws = frame.weights
     if f.n != ws.n:
@@ -329,21 +330,14 @@ def function_order(f, frame, n_max=None):
     a = frame.base_point
     if f.evaluate(a) != 0:
         return 0
-    # At the origin derived(seq) meets at most n_max - 1 - <seq> more
-    # derivations before its value is read; elsewhere all terms count.
-    at_origin = not any(a)
-    cache = {(): f}
-
-    def derived(seq):
-        got = cache.get(seq)
-        if got is None:
-            clip = n_max - 1 - sum(ws.weights[i] for i in seq) if at_origin else None
-            got = frame.fields[seq[0]].apply(derived(seq[1:]), clip)
-            cache[seq] = got
-        return got
-
-    for target in range(1, n_max):
-        for seq in _sequences_of_weight(ws, target):
-            if derived(seq).evaluate(a) != 0:
-                return target
+    levels = [[f]]
+    for t in range(1, n_max):
+        basis = {}
+        for x, w in zip(frame.fields, ws.weights):
+            for g in levels[t - w] if w <= t else ():
+                xg = x.apply(g)
+                if xg.evaluate(a) != 0:
+                    return t
+                _add_to_echelon(basis, xg)
+        levels.append(list(basis.values()))
     return None

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from carnotkit.coords import CoordinateChange
 from carnotkit.graded import WeightVector, iter_weighted_exponents
 from carnotkit.groups import (StructureConstants, catalog, catalog_names,
                               group_frame)
@@ -191,21 +192,34 @@ def filiform_frames(draw, sizes=(5, 6)):
     return Frame(fields, WeightVector(ws), draw(points(n, 2, 3)))
 
 
-def nonzero_base_frames(filiform_sizes=(5, 6)):
-    """Catalog frames at nonzero rational base points where B(a) is
-    invertible, and model filiform frames (``filiform_frames``) at nonzero
-    ones."""
+def catalog_base_frames():
+    """Catalog frames at small rational base points where B(a) is
+    invertible (None where it is not)."""
     def at(args):
         name, point = args
         try:
             return catalog(name).frame.at_base(point, check=True)
         except ValueError:  # DegenerateFrameError included
             return None
-    at_catalog = st.sampled_from(CATALOG_FRAME_NAMES).flatmap(
+    return st.sampled_from(CATALOG_FRAME_NAMES).flatmap(
         lambda name: st.tuples(st.just(name),
                                points(catalog(name).constants.weights.n, 3, 4))).map(at)
-    return st.one_of(at_catalog, filiform_frames(filiform_sizes)).filter(
+
+
+def nonzero_base_frames(filiform_sizes=(5, 6)):
+    """Catalog frames at nonzero rational base points where B(a) is
+    invertible, and model filiform frames (``filiform_frames``) at nonzero
+    ones."""
+    return st.one_of(catalog_base_frames(), filiform_frames(filiform_sizes)).filter(
         lambda fr: fr is not None and any(fr.base_point))
+
+
+def off_centre_change():
+    """X1 = d1 at 0 with the change u = v + v^2, v = x - 1: it maps 0 to 0
+    through a second zero of its truncated factor, not through its centre 1."""
+    frame = Frame([PolyVectorField.coordinate(1, 0)], (1,), (0,))
+    x = RationalPoly.variable(1, 0)
+    return frame, CoordinateChange([[1]], (1,), (1,), PolyMap([x + x * x]))
 
 
 # ---------------------------------------------------------------------------

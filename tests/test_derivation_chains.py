@@ -15,8 +15,8 @@ from carnotkit.verify import generate_carnot_variants, generate_privileged_varia
 from carnotkit.vfields import Frame, PolyVectorField, function_order, pushforward
 
 import oracles
-from conftest import (CATALOG_FRAME_NAMES, filiform_frames, fractions,
-                      nonzero_base_frames, small_polys)
+from conftest import (CATALOG_FRAME_NAMES, catalog_base_frames, filiform_frames,
+                      fractions, nonzero_base_frames, small_polys)
 
 FILIFORM_SIZES = (5, 6, 7, 8)
 
@@ -75,6 +75,19 @@ def test_function_order_matches_unclipped_enumeration(frame, data):
                     == oracles.unclipped_function_order(f, fr, bound))
         f = _at_base(fr, data.draw(low_degree_polys(n)))
         bound = data.draw(st.integers(min_value=1, max_value=min(r + 1, 5)))
+        assert function_order(f, fr, bound) == oracles.unclipped_function_order(f, fr, bound)
+
+
+@given(st.one_of(st.sampled_from(CATALOG_FRAME_NAMES).map(lambda name: catalog(name).frame),
+                 catalog_base_frames().filter(lambda fr: fr is not None)), st.data())
+def test_function_order_matches_enumeration_above_the_step(frame, data):
+    """Catalog frames at the origin and at base points, and each one's
+    affinely adapted frame, with bounds r + 1 to r + 3: orders above the
+    step occur there (x3^2 on heisenberg_3 has order 4)."""
+    r = frame.weights.r
+    for fr in (frame, linearize(frame)[1]):
+        f = _at_base(fr, data.draw(low_degree_polys(fr.n).filter(bool)))
+        bound = data.draw(st.integers(min_value=r + 1, max_value=r + 3))
         assert function_order(f, fr, bound) == oracles.unclipped_function_order(f, fr, bound)
 
 

@@ -15,7 +15,7 @@ from carnotkit.coords import CoordinateChange, epsilon
 from carnotkit.groups import catalog
 from carnotkit.poly import PolyMap, RationalPoly
 
-from conftest import small_polys
+from conftest import off_centre_change, small_polys
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,21 @@ def test_cli_change_with_other_weights_exits_2(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: change weights (1, 1, 1) differ")
+
+
+@pytest.mark.parametrize("command", ["check-carnot", "check-privileged"])
+def test_cli_change_centred_elsewhere_exits_2(capsys, tmp_path, command):
+    """A truncated factor that vanishes away from its centre is bad input,
+    not a disagreement of the Carnot routes."""
+    frame, far = off_centre_change()
+    frame_file, change_file = tmp_path / "frame.json", tmp_path / "far.json"
+    frame_file.write_text(json.dumps(io.frame_document(frame)))
+    change_file.write_text(json.dumps(io.change_document(far)))
+    assert cli.main([command, str(frame_file), "--change", str(change_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: change does not map the frame's base point "
+                            "to the origin; center the chart first\n")
 
 
 def test_cli_order(capsys):

@@ -19,7 +19,7 @@ from carnotkit.verify import (
 )
 
 import oracles
-from conftest import filiform_constants, nonzero_base_frames
+from conftest import filiform_constants, nonzero_base_frames, off_centre_change
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,14 @@ def test_checks_require_centered_chart(h3_frame):
     moved = h3_frame.at_base((1, 0, 0))
     with pytest.raises(ValueError, match="center the chart"):
         check_privileged(moved, CoordinateChange.identity(moved.weights))
+
+
+@pytest.mark.parametrize("check", [check_carnot, check_privileged])
+def test_checks_reject_a_change_centred_elsewhere(check):
+    frame, far = off_centre_change()
+    assert far.apply(frame.base_point) == (0,) and not far.is_exactly_invertible
+    with pytest.raises(ValueError, match="center the chart"):
+        check(frame, far)
 
 
 @pytest.mark.parametrize("check", [check_carnot, check_privileged])

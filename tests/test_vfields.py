@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from carnotkit.graded import WeightVector, dilate
 from carnotkit.groups import catalog, left_invariant_fields
-from carnotkit import vfields
 from carnotkit.poly import PolyMap, RationalPoly
 from carnotkit.vfields import (
     Frame, PolyVectorField, adaptation_defect, bracket, expand, function_order,
@@ -246,11 +245,28 @@ def test_function_order_constants_and_cutoff(h3_frame):
     assert function_order(x3 * x3, h3_frame, n_max=5) == 4
 
 
-def test_function_order_of_zero_enumerates_nothing(monkeypatch):
-    # n^B derivation words at bound B: the zero function must not walk them
-    def refuse(weights, target):
-        raise AssertionError("enumerated derivations of the zero function")
+def test_function_order_of_zero_derives_nothing(monkeypatch):
+    # every derivation of the zero function vanishes: none may be formed
+    def refuse(self, f, max_degree=None):
+        raise AssertionError("derived the zero function")
 
-    monkeypatch.setattr(vfields, "_sequences_of_weight", refuse)
+    monkeypatch.setattr(PolyVectorField, "apply", refuse)
     frame = catalog("heisenberg_5").frame
     assert function_order(RationalPoly.zero(5), frame, n_max=12) is None
+
+
+def test_function_order_work_is_bounded_by_the_spans(monkeypatch):
+    """x5^6 on heisenberg_5 at 0 has order 12.  There are 4.1 * 10^7
+    derivation words of weight < 13, but the spans of each weight stay
+    small, and one derivation per basis vector and field is all the work."""
+    calls = []
+    apply = PolyVectorField.apply
+
+    def counted(self, f, max_degree=None):
+        calls.append(1)
+        return apply(self, f, max_degree)
+
+    monkeypatch.setattr(PolyVectorField, "apply", counted)
+    frame = catalog("heisenberg_5").frame
+    assert function_order(RationalPoly.variable(5, 4) ** 6, frame, n_max=13) == 12
+    assert len(calls) <= 5000
