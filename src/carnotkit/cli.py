@@ -18,8 +18,8 @@ import random
 import sys
 
 from . import io, linalg
-from .coords import (CoordinateChange, NumericChart, canonical_first_kind,
-                     canonical_second_kind, epsilon, linearize, psi_map)
+from .coords import (MAX_OSCULATION_DIRECTIONS, CoordinateChange, NumericChart, epsilon,
+                     canonical_first_kind, canonical_second_kind, linearize, psi_map)
 from .groups import catalog, catalog_names, dynkin_product, validate_algebra
 from .poly import RationalPoly
 from .selftest import run_all
@@ -251,8 +251,9 @@ def cmd_check_carnot(args):
 
 def cmd_osculate(args):
     frame = _as_frame(*_read_source(args.input), base=args.base)
-    if args.directions < 1:
-        raise ValueError("--directions must be at least 1, got %d" % args.directions)
+    if not 1 <= args.directions <= MAX_OSCULATION_DIRECTIONS:
+        raise ValueError("--directions must be in 1..%d, got %d"
+                         % (MAX_OSCULATION_DIRECTIONS, args.directions))
     seed = _seed(args, required=True)
     rng = random.Random("carnotkit:osculate:%d" % seed)
     report = osculation_report(frame, n_directions=args.directions, rng=rng)

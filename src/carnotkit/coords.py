@@ -248,36 +248,34 @@ def _integrate_last(p):
     return RationalPoly(p.n, out)
 
 
+def _time_one(fields, ws, y, xi):
+    """x(1; y, xi) for x' = sum_j xi_j X_j(x), x(0) = y, as a PolyMap in the
+    variables of the polynomial lists y and xi, solved in those variables and
+    a time t, appended last.  In nondecreasing weight order each right-hand
+    side only involves solved components, so every integral is a polynomial
+    in t; only the fields with xi_j != 0 enter.  Then t = 1 merges exponents.
+    """
+    _check_canonical_shape(fields, ws)
+    m = y[0].n + 1
+    lift = lambda p: RationalPoly._from_terms(m, {e + (0,): c for e, c in p.terms.items()})
+    active = [(lift(c), x) for c, x in zip(xi, fields) if c]
+    zero = RationalPoly.zero(m)
+    solution = [zero] * len(ws)
+    for k in sorted(range(len(ws)), key=lambda i: ws[i]):
+        column = substitute_all([x.coefficients[k] for _, x in active], solution)
+        rhs = sum((c * b for (c, _), b in zip(active, column) if b), zero)
+        solution[k] = lift(y[k]) + _integrate_last(rhs)
+    return PolyMap([RationalPoly(m - 1, [(e[:-1], c) for e, c in p.terms.items()])
+                    for p in solution])
+
+
 def exact_flow(fields, weights):
     """Exact polynomial flow of a triangular system in canonical shape: the
     flow of x' = sum_j xi_j X_j(x), x(0) = y, as a PolyMap in the 2n + 1
-    variables (y_1..y_n, xi_1..xi_n, t).
-
-    Coordinates are integrated in nondecreasing weight order; each
-    right-hand side only involves already-solved components, so every
-    integral is a polynomial in t.
-    """
-    wv = WeightVector(weights)
-    ws = wv.weights
-    n = wv.n
-    _check_canonical_shape(fields, ws)
-    nn = 2 * n + 1
-    y_vars = [RationalPoly.variable(nn, j) for j in range(n)]
-    xi_vars = [RationalPoly.variable(nn, n + j) for j in range(n)]
-    zero = RationalPoly.zero(nn)
-    solution = [None] * n
-    for k in sorted(range(n), key=lambda i: ws[i]):
-        args = [solution[l] if solution[l] is not None else zero for l in range(n)]
-        column = substitute_all([x.coefficients[k] for x in fields], args)
-        rhs = sum((xi * c for xi, c in zip(xi_vars, column) if c), zero)
-        solution[k] = y_vars[k] + _integrate_last(rhs)
-    return PolyMap(solution)
-
-
-def _time_one(flow, y, xi):
-    """x(1; y, xi) as a PolyMap, for lists y and xi of polynomials in the
-    same variables."""
-    return flow.compose(PolyMap(y + xi + [RationalPoly.const(xi[0].n, 1)]))
+    variables (y_1..y_n, xi_1..xi_n, t): x(t; y, xi) = x(1; y, t xi)."""
+    ws = WeightVector(weights).weights
+    xs = PolyMap.identity(2 * len(ws) + 1).components
+    return _time_one(fields, ws, xs[:len(ws)], [xs[-1] * v for v in xs[len(ws):-1]])
 
 
 def exp_map(fields, weights):
@@ -285,9 +283,8 @@ def exp_map(fields, weights):
     basis.  Requires a homogeneous model basis; the result is then a
     weight-homogeneous unit-triangular map."""
     wv = WeightVector(weights)
-    n = wv.n
-    xi = [RationalPoly.variable(n, j) for j in range(n)]
-    out = _time_one(exact_flow(fields, wv), [RationalPoly.zero(n)] * n, xi)
+    xi = PolyMap.identity(wv.n).components
+    out = _time_one(fields, wv.weights, [RationalPoly.zero(wv.n)] * wv.n, xi)
     try:
         check_unit_triangular(out, wv)
     except ValueError as exc:
@@ -441,10 +438,9 @@ def canonical_first_kind(frame):
 
     Needs the frame in canonical triangular shape.
     """
-    n = frame.weights.n
-    y = [RationalPoly.const(n, v) for v in frame.base_point]
-    xi = [RationalPoly.variable(n, j) for j in range(n)]
-    return _package_chart(frame, _time_one(exact_flow(frame.fields, frame.weights), y, xi))
+    y = [RationalPoly.const(frame.n, v) for v in frame.base_point]
+    xi = PolyMap.identity(frame.n).components
+    return _package_chart(frame, _time_one(frame.fields, frame.weights.weights, y, xi))
 
 
 def canonical_second_kind(frame):
@@ -452,16 +448,14 @@ def canonical_second_kind(frame):
 
         x -> exp(x_1 X_1) . exp(x_2 X_2) ... exp(x_n X_n)(a),
 
-    the innermost factor acting first.  Privileged, but never a Carnot
-    chart once the step exceeds one.
+    the innermost factor acting first: n single-field time-one flows.
+    Privileged, but never a Carnot chart once the step exceeds one.
     """
-    n = frame.weights.n
-    flow = exact_flow(frame.fields, frame.weights)
-    current = [RationalPoly.const(n, v) for v in frame.base_point]
-    zero = RationalPoly.zero(n)
-    for j in reversed(range(n)):
-        xi = [RationalPoly.variable(n, j) if l == j else zero for l in range(n)]
-        current = _time_one(flow, current, xi).components
+    units = PolyMap.identity(frame.n).components
+    current = [RationalPoly.const(frame.n, v) for v in frame.base_point]
+    for j in reversed(range(frame.n)):
+        xi = [x if l == j else x * 0 for l, x in enumerate(units)]
+        current = _time_one(frame.fields, frame.weights.weights, current, xi).components
     return _package_chart(frame, PolyMap(current))
 
 
@@ -493,6 +487,8 @@ def _float_frame(fields):
 
 
 MAX_RK4_STEPS = 10 ** 6
+MAX_FIT_ENTRIES = 2 * 10 ** 6  # samples x basis monomials of one least-squares fit
+MAX_OSCULATION_DIRECTIONS = 64  # `carnot osculate`: one epsilon chart per direction and scale
 
 
 def _rk4_counts(times, step):
@@ -591,12 +587,14 @@ class NumericChart:
             raise ValueError("sample box must be positive and finite, got %r" % box)
         if rng is None:
             rng = random.Random(0xC0FFEE)
-        basis = sorted(iter_weighted_exponents((1,) * n, degree, "le"),
-                       key=term_sort_key)
-        count = samples if samples is not None else 3 * len(basis)
-        if count < len(basis):
-            raise ValueError("%d samples cannot fit %d basis monomials"
-                             % (count, len(basis)))
+        size = math.comb(n + degree, n)  # monomials of degree <= degree
+        count = samples if samples is not None else 3 * size
+        if count < size:
+            raise ValueError("%d samples cannot fit %d basis monomials" % (count, size))
+        if count * size > MAX_FIT_ENTRIES:
+            raise ValueError("%d samples of %d basis monomials exceed the cap of %d "
+                             "entries" % (count, size, MAX_FIT_ENTRIES))
+        basis = sorted(iter_weighted_exponents((1,) * n, degree, "le"), key=term_sort_key)
         sampler = ChartSampler(frame, kind, step)
         xis = np.array([[rng.uniform(-box, box) for _ in range(n)] for _ in range(count)])
         a_mat = _monomials(sampler(xis) - sampler.base, np.array(basis, dtype=float))

@@ -234,6 +234,36 @@ def flow_certificate_failures(fields, weights, flow):
 
 
 # ---------------------------------------------------------------------------
+# Time-one flows composed from the flow in (y, xi, t).
+# ---------------------------------------------------------------------------
+
+def composed_flow(fields, ws):
+    """The flow of x' = sum_j xi_j X_j(x), x(0) = y, of a triangular system
+    in canonical shape as polynomials in the 2n + 1 variables (y, xi, t):
+    x_k = y_k + the t-antiderivative (vanishing at 0) of
+    sum_j xi_j X_j^k(x), solved in nondecreasing weight order with every
+    field entering."""
+    n = len(ws)
+    nn = 2 * n + 1
+    xs = [RationalPoly.variable(nn, i) for i in range(nn)]
+    solution = [RationalPoly.zero(nn)] * n
+    for k in sorted(range(n), key=lambda i: ws[i]):
+        rhs = sum((xs[n + j] * fraction_substitute(x.coefficients[k], solution)
+                   for j, x in enumerate(fields)), RationalPoly.zero(nn))
+        solution[k] = xs[k] + RationalPoly(nn, {e[:-1] + (e[-1] + 1,): c / (e[-1] + 1)
+                                                for e, c in rhs.terms.items()})
+    return PolyMap(solution)
+
+
+def composed_time_one(fields, ws, y, xi):
+    """x(1; y, xi) for lists y and xi of polynomials in the same variables:
+    ``composed_flow`` composed at (y, xi, 1)."""
+    args = list(y) + list(xi) + [RationalPoly.const(xi[0].n, 1)]
+    return PolyMap([fraction_substitute(c, args)
+                    for c in composed_flow(fields, ws).components])
+
+
+# ---------------------------------------------------------------------------
 # Step-2 quadratic coefficients of the homogeneous logarithm.
 # ---------------------------------------------------------------------------
 
@@ -508,21 +538,20 @@ def determinant(rows):
 # Canonical charts built about the base point.
 # ---------------------------------------------------------------------------
 
-def unpackaged_canonical_chart(frame, kind, flow):
+def unpackaged_canonical_chart(frame, kind):
     """(polynomial factor, forward map) of a canonical chart of the given
-    kind, built about the base point a: the forward map xi -> x keeps a's
-    constants and is inverted as it stands by one weight-ordered sweep, and
-    the inverse is composed with x = a + B(a)^t u.  ``flow`` holds the flow
-    components in (y, xi, t)."""
+    kind, built about the base point a: the forward map xi -> x is made of
+    ``composed_time_one`` flows and keeps a's constants, it is inverted as
+    it stands by one weight-ordered sweep, and the inverse is composed with
+    x = a + B(a)^t u."""
     ws = frame.weights.weights
     n = len(ws)
     ident = [RationalPoly.variable(n, j) for j in range(n)]
-    one = RationalPoly.const(n, 1)
     point = [RationalPoly.const(n, v) for v in frame.base_point]
     steps = [ident] if kind == "first" else [
         [x if l == j else x * 0 for l, x in enumerate(ident)] for j in reversed(range(n))]
     for xi in steps:
-        point = [c.substitute(point + xi + [one]) for c in flow]
+        point = composed_time_one(frame.fields, ws, point, xi).components
     forward = PolyMap(point)
     inverse = list(ident)  # each tail only reads variables of lower weight
     for k in sorted(range(n), key=lambda i: ws[i]):

@@ -17,7 +17,7 @@ from carnotkit.verify import (generate_adversarial_variants, generate_carnot_var
                               random_homogeneous_triangular)
 from carnotkit import coords
 from carnotkit.coords import (
-    MAX_RK4_STEPS, ChartSampler, CoordinateChange, NumericChart,
+    MAX_FIT_ENTRIES, MAX_RK4_STEPS, ChartSampler, CoordinateChange, NumericChart,
     canonical_first_kind, canonical_second_kind, combined_field,
     convert_nilpotent_approx, epsilon, exact_flow, exp_map, linearize,
     log_map, numeric_flow, psi_map, transform_frame,
@@ -505,13 +505,84 @@ def test_canonical_charts_match_the_construction_about_the_base_point(frame):
     """Packaged about the origin, both kinds equal the chart that inverts
     the forward map with the base point's constants and then undoes the
     affine adaptation by x = a + B(a)^t u."""
-    flow = exact_flow(frame.fields, frame.weights).components
+    _assert_charts_match_the_construction(frame)
+
+
+def _assert_charts_match_the_construction(frame):
     for kind, build in (("first", canonical_first_kind), ("second", canonical_second_kind)):
         result = build(frame)
-        poly, forward = oracles.unpackaged_canonical_chart(frame, kind, flow)
+        poly, forward = oracles.unpackaged_canonical_chart(frame, kind)
         assert result.forward == forward
         assert result.change == CoordinateChange(frame.adapted_matrix(), frame.base_point,
                                                  frame.weights, poly)
+        for p in result.forward.components + result.change.poly.components:
+            assert all(isinstance(c, Fraction) for c in p.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# One integrator: time-one flows in the caller's variables against the flow
+# in (y, xi, t) composed at (y, xi, 1).
+# ---------------------------------------------------------------------------
+
+def _assert_matches_composed_route(frame):
+    ws = frame.weights.weights
+    n = len(ws)
+    assert exact_flow(frame.fields, ws) == oracles.composed_flow(frame.fields, ws)
+    eps = epsilon(frame)
+    xi = _vars(n)
+    want = oracles.composed_time_one(eps.model_fields, ws, [RationalPoly.zero(n)] * n, xi)
+    assert eps.exp_model == want
+    assert exp_map(eps.model_fields, ws) == want
+    _assert_charts_match_the_construction(frame)
+
+
+def test_time_one_matches_composed_route_on_catalog_frames(frame_entry, rng):
+    """At the origin and at two base points where B(a) is invertible."""
+    frame = frame_entry.frame
+    frames = [frame]
+    while len(frames) < 3:
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(frame.n))
+        try:
+            frames.append(frame.at_base(point, check=True))
+        except ValueError:  # DegenerateFrameError included
+            pass
+    for frame in frames:
+        _assert_matches_composed_route(frame)
+
+
+@given(frame=filiform_frames(sizes=(5, 6, 7, 8)))
+def test_time_one_matches_composed_route_on_filiform_frames(frame):
+    _assert_matches_composed_route(frame)
+
+
+@given(frame=step2_adapted_frames())
+def test_time_one_matches_composed_route_on_step2_frames(frame):
+    _assert_matches_composed_route(frame)
+
+
+def test_time_one_lets_only_the_nonzero_xi_fields_enter(monkeypatch):
+    """A second-kind chart makes n single-field flows, so each batch of
+    field coefficients substituted holds one polynomial; exponentials and
+    first-kind charts substitute at most n per batch."""
+    frames = [catalog(name).frame for name in ("heisenberg_3", "engel_4",
+                                               "perturbed_engel_4")]
+    frames.append(frames[-1].at_base((Fraction(1, 2), -1, Fraction(1, 3), 2), check=True))
+    sizes = []
+    substitute_all = coords.substitute_all
+
+    def record(polys, *args):
+        sizes.append(len(polys))
+        return substitute_all(polys, *args)
+    monkeypatch.setattr(coords, "substitute_all", record)
+    for frame in frames:
+        n = frame.n
+        models = epsilon(frame).model_fields
+        for run, most in ((lambda: canonical_second_kind(frame), 1),
+                          (lambda: canonical_first_kind(frame), n),
+                          (lambda: exp_map(models, frame.weights), n)):
+            sizes.clear()
+            run()
+            assert sizes and max(sizes) <= most
 
 
 def test_canonical_charts_invert_their_forward(frame_entry, rng):
@@ -641,6 +712,26 @@ def test_chart_sampler_rejects_unknown_kind(h3_frame):
 def test_numeric_chart_rejects_bad_options(h3_frame, options, match):
     with pytest.raises(ValueError, match=match):
         NumericChart.build(h3_frame, "first", **options)
+
+
+def test_numeric_chart_caps_samples_times_monomials_before_any_work(monkeypatch):
+    """The cap counts the fit with math.comb: just inside it the fit goes
+    ahead, at the cap + 1 nothing is enumerated or integrated."""
+    plane = Frame([PolyVectorField.coordinate(2, j) for j in range(2)], (1, 1), (0, 0))
+    samples = (MAX_FIT_ENTRIES + 1) // 3  # 3 monomials of degree <= 1 in 2 variables
+    assert 3 * samples == MAX_FIT_ENTRIES + 1
+
+    class Started(Exception):
+        pass
+
+    def start(*args, **kwargs):
+        raise Started
+    monkeypatch.setattr(coords, "ChartSampler", start)
+    with pytest.raises(Started):
+        NumericChart.build(plane, "first", degree=1, samples=samples - 1)
+    monkeypatch.setattr(coords, "iter_weighted_exponents", start)
+    with pytest.raises(ValueError, match="exceed the cap of %d" % MAX_FIT_ENTRIES):
+        NumericChart.build(plane, "first", degree=1, samples=samples)
 
 
 def test_numeric_chart_accepts_one_sample_per_monomial(h3_frame):

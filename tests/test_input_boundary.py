@@ -5,7 +5,8 @@ document, and cli.main turns every bad input into one error line, exit 2.
 - one malformed document per io rejection;
 - every subcommand and every --change selector, run in process against the
   library call it wraps;
-- an AST pin that cli.py parses nothing and exits nowhere by itself.
+- an AST pin that cli.py parses nothing and exits nowhere by itself;
+- numeric sizes past their caps, refused before any work starts.
 """
 
 import ast
@@ -18,8 +19,9 @@ import re
 
 import pytest
 
-from carnotkit import cli, io, linalg, poly
-from carnotkit.coords import (CoordinateChange, canonical_first_kind,
+from carnotkit import cli, coords, io, linalg, poly, verify
+from carnotkit.coords import (MAX_FIT_ENTRIES, MAX_OSCULATION_DIRECTIONS,
+                              CoordinateChange, canonical_first_kind,
                               canonical_second_kind, epsilon, linearize, psi_map)
 from carnotkit.groups import catalog, dynkin_product, validate_algebra
 from carnotkit.poly import RationalPoly
@@ -315,6 +317,35 @@ def test_cli_unreadable_path_exits_2(capsys, tmp_path, argv):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot read %r: " % str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# Numeric sizes: capped before any enumeration or integration.
+# ---------------------------------------------------------------------------
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the size check")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["canonical1", "heisenberg_3", "--numeric", "--seed", "1", "--degree", "30"],
+     "16368 samples of 5456 basis monomials exceed the cap of %d entries"
+     % MAX_FIT_ENTRIES),
+    (["canonical2", "heisenberg_3", "--numeric", "--seed", "1", "--degree", "1",
+      "--samples", str(MAX_FIT_ENTRIES // 4 + 1)],
+     "%d samples of 4 basis monomials exceed the cap of %d entries"
+     % (MAX_FIT_ENTRIES // 4 + 1, MAX_FIT_ENTRIES)),
+    (["osculate", "heisenberg_3", "--seed", "1",
+      "--directions", str(MAX_OSCULATION_DIRECTIONS + 1)],
+     "--directions must be in 1..%d, got %d"
+     % (MAX_OSCULATION_DIRECTIONS, MAX_OSCULATION_DIRECTIONS + 1)),
+], ids=["degree", "samples", "directions"])
+def test_cli_caps_numeric_sizes_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("CARNOT_SEED", raising=False)
+    for module, name in ((coords, "iter_weighted_exponents"), (coords, "ChartSampler"),
+                         (verify, "epsilon"), (verify, "random_osculation_directions")):
+        monkeypatch.setattr(module, name, _refuse_work)
+    assert _run(capsys, argv) == (2, "", "error: %s\n" % message)
 
 
 # ---------------------------------------------------------------------------
