@@ -104,8 +104,9 @@ class CoordinateChange:
             self.matrix, [x - o for x, o in zip(point, self.offset)]))
 
     def inverse_polymap(self, max_weight=None):
-        """Polynomial inverse; exact when possible, else truncated at
-        max_weight (which must then be supplied explicitly)."""
+        """Polynomial inverse: the polynomial factor inverted exactly, or
+        modulo weighted degree > max_weight when it is given (which it must
+        be when there is no exact inverse), then the affine inverse."""
         q = invert_weight_triangular(self.poly, self.weights.weights, max_weight)
         return self.affine_inverse_polymap().compose(q)
 
@@ -150,14 +151,21 @@ def _push_affine(frame, change):
                  frame.weights, forward.evaluate(frame.base_point), check=False)
 
 
-def transform_frame(frame, change, max_weight=None):
-    """Push every frame field through the change; exact when the change is,
-    truncated at max_weight otherwise.  Two exact stages: the affine factor,
-    then the unipotent factor, whose inverse has no constant terms, so the
-    weight clip prunes from the first product on."""
+def transform_frame(frame, change):
+    """Push every frame field through the change; exact when the change
+    inverts exactly, else truncated at weighted degree r + 2.  Two stages:
+    the affine factor, then the unipotent factor, whose inverse has no
+    constant terms, so a weight clip prunes from the first product on.
+
+    A weight-W truncated inverse is exact below weight W + 1, and every
+    substitution error then carries weight >= W + 1 into the pushed
+    coefficients.  The privileged and Carnot verdicts only read coefficient
+    monomials of weighted degree <= w_k <= r (parts of homogeneous degree
+    <= 0), and no route brackets truncated fields, so r + 2 leaves margin.
+    """
     adapted = _push_affine(frame, change)
     ws = frame.weights.weights
-    bound = None if change.is_exactly_invertible else max_weight
+    bound = None if change.is_exactly_invertible else frame.weights.r + 2
     inverse = invert_weight_triangular(change.poly, ws, bound)
     return Frame(push_fields(adapted.fields, change.poly, inverse, ws, bound),
                  frame.weights, change.poly(adapted.base_point), check=False)

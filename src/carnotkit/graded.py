@@ -119,17 +119,15 @@ def dilate(x, t, weights):
 def ow_violations(residual, m, weights):
     """Monomials breaking the O_w(||x||^{w_k+m}) bound.
 
-    ``residual`` is a polynomial map (anything with a ``components`` list of
-    polynomials) or a plain list of polynomials; ``weights`` grade both the
-    output components and the input variables.
+    ``residual`` is a PolyMap; ``weights`` grade both the output
+    components and the input variables.
 
     Returns a list of (component_index, exponent, coefficient), smallest
     weighted degree first.
     """
-    comps = getattr(residual, "components", residual)
     ws = as_weights(weights)
     bad = []
-    for k, comp in enumerate(comps):
+    for k, comp in enumerate(residual.components):
         need = ws[k] + m
         for exp, coef in comp.terms.items():
             d = weighted_degree(exp, ws)
@@ -204,25 +202,25 @@ class ScalingReport:
         return "ScalingReport(m=%s, %d directions, %s)" % (self.m, len(self.entries), verdict)
 
 
-def ow_scaling_test(f, m, in_weights, out_weights, directions, t_grid=DEFAULT_T_GRID):
-    """Numeric O_w(||x||^{w+m}) test for a sampled map.
+def ow_scaling_test(f, m, weights, directions, t_grid=DEFAULT_T_GRID):
+    """Numeric O_w(||x||^{w+m}) test for a sampled map; ``weights`` grade
+    both its input and its output.
 
     For each direction d and each t in the grid, record
     ``|| delta_{1/t} f(t . d) ||`` in a :class:`DecayTrack` labelled by d.
     Directions whose samples all vanish are exact (this happens when the
     residual is identically zero).
     """
-    ws_in = as_weights(in_weights)
-    ws_out = as_weights(out_weights)
+    ws = as_weights(weights)
     ts = tuple(t_grid)
     entries = []
     for d in directions:
         samples = []
         for t in ts:
-            point = dilate(d, t, ws_in)
+            point = dilate(d, t, ws)
             value = f(point)
             inv = 1 / Fraction(t) if not isinstance(t, float) else 1.0 / t
-            rescaled = dilate(value, inv, ws_out)
+            rescaled = dilate(value, inv, ws)
             norm = math.sqrt(sum(float(c) ** 2 for c in rescaled))
             if norm < _ZERO_CUTOFF:
                 norm = 0.0

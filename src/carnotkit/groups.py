@@ -255,13 +255,10 @@ def dynkin_symbolic(constants):
     return PolyMap(comps)
 
 
-# The memo keeps the most recently used algebras: a caller works on a
-# handful at a time, and a stream of fresh algebras must not grow the
-# process without bound.  Its polynomials are shared, so callers copy them.
-@lru_cache(maxsize=32)
-def _invariant_coefficients(constants):
-    """Rows X_j(x) = psi(ad_x) e_j = sum_k c_k ad_x^k e_j of the left-invariant
-    frame, with c_k the Taylor coefficients of psi(z) = z / (1 - e^{-z})."""
+def left_invariant_fields(constants):
+    """The canonical left-invariant frame of the group law, built anew on
+    every call: X_j(x) = psi(ad_x) e_j = sum_k c_k ad_x^k e_j, with c_k the
+    Taylor coefficients of psi(z) = z / (1 - e^{-z})."""
     n = constants.n
     # c inverts the series 1 / psi(z) = (1 - e^{-z}) / z = sum_i (-1)^i z^i / (i + 1)!
     c = [Fraction(1)]
@@ -278,15 +275,8 @@ def _invariant_coefficients(constants):
             if not alive:
                 break
             row = [r + ck * a if a and ck else r for r, a in zip(row, v)]
-        rows.append(tuple(row))
+        rows.append(PolyVectorField(row))
     return tuple(rows)
-
-
-def left_invariant_fields(constants):
-    """The canonical left-invariant frame of the group law: new fields and
-    coefficient polynomials on every call."""
-    return tuple(PolyVectorField([c.copy() for c in row])
-                 for row in _invariant_coefficients(constants))
 
 
 def group_frame(constants, base_point=None):
@@ -307,8 +297,8 @@ def _tangent_algebra(weights, table):
     return constants
 
 
-def structure_constants_at(frame, point=None):
-    """Tangent-group constants of an H-frame at a point.
+def structure_constants_at(frame):
+    """Tangent-group constants of an H-frame at its base point a.
 
     Solves B(a)^t lambda = [X_i, X_j](a); entries with w_k > w_i + w_j must
     vanish (else ValueError from the frame), entries with w_k = w_i + w_j
@@ -316,7 +306,7 @@ def structure_constants_at(frame, point=None):
 
     Returns (StructureConstants, full_table) with 0-based (i, j, k) keys.
     """
-    table = frame.bracket_table(point)
+    table = frame.bracket_table()
     ws = frame.weights.weights
     graded = {key: c for key, c in table.items()
               if ws[key[0]] + ws[key[1]] == ws[key[2]]}

@@ -154,10 +154,6 @@ class RationalPoly:
         p.terms = terms
         return p
 
-    def copy(self):
-        """A polynomial equal to this one that shares no mutable state."""
-        return RationalPoly._from_terms(self.n, dict(self.terms))
-
     # -- ring operations ----------------------------------------------
 
     @property
@@ -337,17 +333,6 @@ def substitute_all(polys, args, weights=None, bound=None):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Weighted filters.
-# ---------------------------------------------------------------------------
-
-
-def take_weight_le(f, weights, bound):
-    ws = as_weights(weights)
-    return RationalPoly(f.n, {e: c for e, c in f.terms.items()
-                              if weighted_degree(e, ws) <= bound})
-
-
 class PolyMap:
     """Polynomial map R^{n_in} -> R^{n_out}, one RationalPoly per component."""
 
@@ -425,11 +410,6 @@ class PolyMap:
         return "PolyMap(%s)" % ", ".join(str(c) for c in self.components)
 
 
-def truncate_weight(m, weights, max_weight):
-    """Drop every monomial of weighted degree above max_weight, per component."""
-    return PolyMap([take_weight_le(c, weights, max_weight) for c in m.components])
-
-
 def weight_shape(components, weights):
     """Split a square map into components x_k + q_k and grade the tails q_k.
 
@@ -481,12 +461,15 @@ def check_unit_triangular(m, weights):
 
 
 def invert_weight_triangular(m, weights, max_weight=None):
-    """Inverse of a square map with components x_k + q_k.
+    """Inverse of a square map with components x_k + q_k; without
+    ``max_weight`` the exact inverse, with it the inverse modulo weighted
+    degree > max_weight (max_weight >= every weight), for every map.
 
     When every q_k involves only variables of weight < w_k (constants are
     allowed), one sweep g_k <- y_k - q_k(g) in increasing weight order gives
-    the exact inverse.  Otherwise some q_k raises the weight and only a
-    truncated inverse exists, so ``max_weight`` is required.  With m = L + N,
+    the exact inverse; a bound clips each substitution, which weights >= 0
+    make exact.  Otherwise some q_k raises the weight and only a truncated
+    inverse exists, so ``max_weight`` is required.  With m = L + N,
     L linear and N the terms of two or more factors, g = L^{-1}(y - N(g)):
     g has no constant terms, so layer d (weighted degree d) of N(g) reads
     only the layers of g below d, and the pass for d = 1, ..., max_weight
@@ -494,23 +477,22 @@ def invert_weight_triangular(m, weights, max_weight=None):
     degree > max_weight is checked (ArithmeticError).  Raises ValueError on
     a linear term x_j with w_j = w_k, a singular L or a truncated constant.
     """
-    comps = m.components if isinstance(m, PolyMap) else list(m)
     ws = as_weights(weights)
-    tails, ranks = weight_shape(comps, ws)
+    tails, ranks = weight_shape(m.components, ws)
+    if max_weight is not None and max_weight < max(ws):
+        raise ValueError("max_weight must be at least the largest weight")
     n = len(ws)
     ident = [RationalPoly.variable(n, j) for j in range(n)]
     if all(rank < 2 for rank in ranks):
         g = list(ident)
         for k in sorted(range(n), key=lambda i: ws[i]):
-            g[k] = ident[k] - tails[k].substitute(g)
+            g[k] = ident[k] - tails[k].substitute(g, ws, max_weight)
         return PolyMap(g)
     if max_weight is None:
         raise ValueError("no exact inverse; pass max_weight to truncate")
-    if max_weight < max(ws):
-        raise ValueError("max_weight must be at least the largest weight")
     if any((0,) * n in q.terms for q in tails):
         raise ValueError("a constant term leaves no truncated inverse")
-    l_inv = linalg.mat_inv(PolyMap(comps).linear_matrix())
+    l_inv = linalg.mat_inv(m.linear_matrix())
     nonlinear = [RationalPoly._from_terms(n, {e: c for e, c in q.terms.items() if sum(e) > 1})
                  for q in tails]
     g = [RationalPoly.zero(n)] * n
@@ -519,7 +501,7 @@ def invert_weight_triangular(m, weights, max_weight=None):
         g = [sum((p * c for p, c in zip(rhs, row) if c), RationalPoly.zero(n))
              for row in l_inv]
     g = PolyMap(g)
-    if PolyMap(comps).compose(g, ws, max_weight) != PolyMap.identity(n):
+    if m.compose(g, ws, max_weight) != PolyMap.identity(n):
         raise ArithmeticError("truncated inverse fails its residual check: m(g(y)) - y "
                               "has terms of weighted degree <= %d" % max_weight)
     return g
@@ -531,7 +513,6 @@ def invert_triangular(m, weights):
 
 
 def invert_perturbed_triangular(m, weights, max_weight):
-    """Inverse of m truncated at weighted degree max_weight (the exact
-    inverse, clipped, when m has one); see invert_weight_triangular."""
-    return truncate_weight(invert_weight_triangular(m, weights, max_weight),
-                           weights, max_weight)
+    """Inverse of m modulo weighted degree > max_weight: one
+    invert_weight_triangular call under its own name."""
+    return invert_weight_triangular(m, weights, max_weight)

@@ -184,21 +184,23 @@ def model_field(x_field, j, weights):
     return rebuilt
 
 
-def pushforward(x_field, forward, inverse, weights=None, max_weight=None):
+def pushforward(x_field, forward, inverse):
     """m_* X: coefficient of d/dx_k is X(m_k) composed with m^{-1}.
 
     ``forward`` and ``inverse`` are PolyMaps; exactness of the result is
-    exactly the exactness of the supplied inverse.  When the inverse is
-    itself truncated, pass ``weights`` and ``max_weight`` so the
-    composition clips coefficient monomials above the truncation bound
-    instead of dragging exact garbage along (terms up to the bound come
-    out identical either way).
+    exactly the exactness of the supplied inverse.  ``push_fields`` pushes
+    several fields at once and clips at a weight bound.
     """
-    return push_fields([x_field], forward, inverse, weights, max_weight)[0]
+    return push_fields([x_field], forward, inverse)[0]
 
 
 def push_fields(fields, forward, inverse, weights=None, max_weight=None):
-    """``pushforward`` of each field, with each d_l m_k formed once per map."""
+    """``pushforward`` of each field, with each d_l m_k formed once per map.
+
+    When the inverse is itself truncated, pass ``weights`` and
+    ``max_weight`` so the composition clips coefficient monomials above the
+    truncation bound instead of dragging exact garbage along (terms up to
+    the bound come out identical either way)."""
     if any(x.n != forward.n_in for x in fields):
         raise ValueError("map and field dimensions differ")
     jacobian = [[m.partial(l) for l in range(forward.n_in)] for m in forward.components]
@@ -206,6 +208,11 @@ def push_fields(fields, forward, inverse, weights=None, max_weight=None):
                                   for x in fields for row in jacobian],
                                  inverse.components, weights, max_weight))
     return [PolyVectorField([next(pulled) for _ in jacobian]) for _ in fields]
+
+
+def _point_str(point):
+    """A point as messages print it: '(1/2, 0, -3)'."""
+    return "(%s)" % ", ".join(str(x) for x in point)
 
 
 class Frame:
@@ -250,7 +257,7 @@ class Frame:
             return linalg.mat_inv(linalg.transpose(self.coefficient_matrix(point)))
         except ValueError:
             raise DegenerateFrameError("frame is degenerate (B(x) singular) at %s"
-                                       % (point,))
+                                       % _point_str(point))
 
     def at_base(self, point, check=False):
         """Same fields, new base point."""
@@ -280,7 +287,8 @@ class Frame:
                         raise ValueError(
                             "[X%d, X%d] leaves the weight filtration at %s: "
                             "component %d (weight %d > %d)"
-                            % (i + 1, j + 1, point, k + 1, ws[k], ws[i] + ws[j]))
+                            % (i + 1, j + 1, _point_str(point), k + 1, ws[k],
+                               ws[i] + ws[j]))
                     table[(i, j, k)] = lam[k]
         return table
 

@@ -503,6 +503,21 @@ def fraction_layered_inverse(m, ws, max_weight):
 
 
 # ---------------------------------------------------------------------------
+# Weighted filters: the terms of weighted degree <= a bound.
+# ---------------------------------------------------------------------------
+
+def take_weight_le(f, weights, bound):
+    """The terms of f of weighted degree <= bound."""
+    return RationalPoly(f.n, {e: c for e, c in f.terms.items()
+                              if sum(w * k for w, k in zip(weights, e)) <= bound})
+
+
+def truncate_weight(m, weights, max_weight):
+    """``take_weight_le`` on every component of the map m."""
+    return PolyMap([take_weight_le(c, weights, max_weight) for c in m.components])
+
+
+# ---------------------------------------------------------------------------
 # The truncated inverse by fixed-point sweeps, and an exact determinant.
 # ---------------------------------------------------------------------------
 
@@ -576,7 +591,7 @@ def one_stage_push(frame, change, max_weight=None):
     ws = frame.weights.weights
     bound = None if change.is_exactly_invertible else max_weight
     forward = change.forward_polymap()
-    inverse = change.inverse_polymap(max_weight).components
+    inverse = change.inverse_polymap(bound).components
     pushed = []
     for field in frame.fields:
         coeffs = []
@@ -661,7 +676,7 @@ def per_point_chart_report(frame, kind, m, eps, directions, step=1e-3):
         return tuple(float(a) - float(b) for a, b in zip(u, xi))
 
     ws = frame.weights.weights
-    return ow_scaling_test(residual, m, ws, ws, directions)
+    return ow_scaling_test(residual, m, ws, directions)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_transform_frame_moves_base():
 # ---------------------------------------------------------------------------
 
 def _assert_one_stage_push(frame, change, max_weight=None):
-    pushed = transform_frame(frame, change, max_weight)
+    pushed = transform_frame(frame, change)
     assert ([list(x.coefficients) for x in pushed.fields]
             == oracles.one_stage_push(frame, change, max_weight))
     assert pushed.base_point == change.apply(frame.base_point)

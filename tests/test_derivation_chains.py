@@ -119,7 +119,7 @@ def test_pushes_match_per_field_pushforward(frame, rng):
         want = [oracles.per_field_pushforward(
                     PolyVectorField(oracles.per_field_pushforward(x, forward_a, inverse_a)),
                     change.poly, inverse, ws, bound) for x in frame.fields]
-        pushed = transform_frame(frame, change, frame.weights.r + 2)
+        pushed = transform_frame(frame, change)
         assert [x.coefficients for x in pushed.fields] == want
 
 

@@ -117,25 +117,25 @@ def test_ow_scaling_test_exact_and_slope_paths():
     ws = (1, 1, 2)
     # exact path: the zero map passes with exact=True entries
     zero = lambda x: (0.0, 0.0, 0.0)
-    rep = ow_scaling_test(zero, 1, ws, ws, [(1.0, 1.0, 1.0)])
+    rep = ow_scaling_test(zero, 1, ws, [(1.0, 1.0, 1.0)])
     assert rep.passed and all(e.exact for e in rep.entries)
     # slope path: a genuine O_w(+1) residual map passes with slope >= m
     def f(x):
         return (0.0, 0.0, float(x[0]) ** 3)
-    rep = ow_scaling_test(f, 1, ws, ws, [(1.0, 0.5, 0.25), (0.5, 1.0, 0.5)])
+    rep = ow_scaling_test(f, 1, ws, [(1.0, 0.5, 0.25), (0.5, 1.0, 0.5)])
     assert rep.passed
     assert all(s is None or s >= 0.9 for s in rep.slopes())
     # failure path: a weight-preserving map is not O_w(+1)
     ident = lambda x: tuple(float(v) for v in x)
-    rep = ow_scaling_test(ident, 1, ws, ws, [(1.0, 1.0, 1.0)])
+    rep = ow_scaling_test(ident, 1, ws, [(1.0, 1.0, 1.0)])
     assert not rep.passed
 
 
 def test_ow_scaling_test_needs_samples_and_directions():
     zero = lambda x: (0.0, 0.0, 0.0)
     ws = (1, 1, 2)
-    assert not ow_scaling_test(zero, 1, ws, ws, [(1.0, 1.0, 1.0)], t_grid=()).passed
-    assert not ow_scaling_test(zero, 1, ws, ws, []).passed
+    assert not ow_scaling_test(zero, 1, ws, [(1.0, 1.0, 1.0)], t_grid=()).passed
+    assert not ow_scaling_test(zero, 1, ws, []).passed
 
 
 _TS = [0.5 ** k for k in range(1, 11)]

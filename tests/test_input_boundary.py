@@ -27,7 +27,7 @@ from carnotkit.groups import catalog, dynkin_product, validate_algebra
 from carnotkit.poly import RationalPoly
 from carnotkit.selftest import run_all
 from carnotkit.verify import check_carnot, check_privileged, osculation_report
-from carnotkit.vfields import function_order
+from carnotkit.vfields import Frame, PolyVectorField, function_order
 
 
 def _run(capsys, argv):
@@ -301,6 +301,53 @@ def test_cli_bad_input_is_one_error_line(capsys, monkeypatch, tmp_path, row):
     assert len(err.splitlines()) == 1
 
 
+def _frame_at_zero(coefficients, weights):
+    n = len(weights)
+    fields = [PolyVectorField([RationalPoly(n, terms) for terms in row])
+              for row in coefficients]
+    return Frame(fields, weights, (0,) * n)
+
+
+# Frames good at 0 and bad at --base: the Engel-type fields X1 = d1,
+# X2 = d2 + x1 d3 + x1^2/2 d4 (with X3 = d3, X4 = d4), whose [X1, X2] =
+# X3 + x1 X4 leaves the filtration where x1 != 0, and X1 = d1,
+# X2 = (x1 - 1/2) d2, degenerate where x1 = 1/2.
+UNIT = {(0, 0, 0, 0): 1}
+REBASED = {
+    "filtration": (_frame_at_zero([[UNIT, {}, {}, {}],
+                                   [{}, UNIT, {(1, 0, 0, 0): 1},
+                                    {(2, 0, 0, 0): Fraction(1, 2)}],
+                                   [{}, {}, UNIT, {}], [{}, {}, {}, UNIT]],
+                                  (1, 1, 2, 3)),
+                   "1/2,0,0,0",
+                   "[X1, X2] leaves the weight filtration at (1/2, 0, 0, 0): "
+                   "component 4 (weight 3 > 2)"),
+    "degenerate": (_frame_at_zero([[{(0, 0): 1}, {}],
+                                   [{}, {(1, 0): 1, (0, 0): Fraction(-1, 2)}]], (1, 1)),
+                   "1/2,0", "frame is degenerate (B(x) singular) at (1/2, 0)"),
+}
+SUBPARSERS = next(a for a in cli.build_parser()._actions
+                  if a.__class__.__name__ == "_SubParsersAction").choices
+REQUIRED = {"order": ["--coordinate", "4"], "osculate": ["--seed", "1"],
+            "check-privileged": ["--change", "epsilon"],
+            "check-carnot": ["--change", "epsilon"]}
+FRAME_COMMANDS = [(name, REQUIRED.get(name, [])) for name, p in SUBPARSERS.items()
+                  if any("--base" in a.option_strings for a in p._actions)]
+
+
+@pytest.mark.parametrize("row", sorted(REBASED))
+@pytest.mark.parametrize("command,extra", FRAME_COMMANDS,
+                         ids=[c for c, _ in FRAME_COMMANDS])
+def test_cli_base_is_checked_like_a_document_base(capsys, monkeypatch, tmp_path,
+                                                  command, extra, row):
+    frame, base, message = REBASED[row]
+    monkeypatch.delenv("CARNOT_SEED", raising=False)
+    path = tmp_path / "frame.json"
+    path.write_text(io.dumps(io.frame_document(frame)))
+    code, out, err = _run(capsys, [command, str(path), "--base", base] + extra)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_cli_integer_options_allow_surrounding_whitespace(capsys):
     """Integers and rationals share one grammar: surrounding whitespace is
     allowed, as in --x, and the padded option means the plain one."""
@@ -484,9 +531,7 @@ def test_cli_subcommand_matches_its_library_call(capsys, monkeypatch, argv, expe
 
 
 def test_subcommand_table_covers_the_parser():
-    sub = next(a for a in cli.build_parser()._actions
-               if a.__class__.__name__ == "_SubParsersAction")
-    assert {argv[0] for argv, _ in SUBCOMMANDS} == set(sub.choices)
+    assert {argv[0] for argv, _ in SUBCOMMANDS} == set(SUBPARSERS)
     checks = {(argv[0], argv[-1]) for argv, _ in SUBCOMMANDS if "--change" in argv}
     assert checks == {(c, s) for c in ("check-carnot", "check-privileged")
                       for s in CHANGES}

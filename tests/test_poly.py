@@ -6,12 +6,11 @@ from hypothesis import example, given, strategies as st
 from carnotkit.graded import WeightVector
 from carnotkit.poly import (
     PolyMap, RationalPoly, check_unit_triangular, invert_perturbed_triangular,
-    invert_triangular, invert_weight_triangular, monomial_str,
-    take_weight_le, truncate_weight, weight_shape,
+    invert_triangular, invert_weight_triangular, monomial_str, weight_shape,
 )
 
 from conftest import fractions, points, small_polys, step3_unipotent_maps
-from oracles import determinant, sweep_truncated_inverse
+from oracles import determinant, sweep_truncated_inverse, take_weight_le, truncate_weight
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +185,12 @@ def test_kernel_inverts_modulo_the_bound(mws, extra):
     bound = max(ws) + extra
     g = invert_weight_triangular(m, ws, bound)
     assert m.compose(g, ws, bound) == PolyMap.identity(len(ws))
-    # the layered solve gives what the fixed-point sweeps give; an exact
-    # inverse equals them once clipped
+    # the layered solve and the clipped exact sweep give what the
+    # fixed-point sweeps give
     want = sweep_truncated_inverse(m, ws, bound)
-    _, ranks = weight_shape(m.components, ws)
     assert want is not None
-    assert (g if max(ranks) == 2 else truncate_weight(g, ws, bound)) == want
+    assert g == want
+    assert invert_perturbed_triangular(m, ws, bound) == g
 
 
 @given(step3_unipotent_maps(raising=True, lowering=True), st.integers(0, 2))
@@ -230,8 +229,22 @@ def test_kernel_exact_inverse_and_its_truncation(mws, extra):
     assert m.compose(g) == ident
     assert g.compose(m) == ident
     bound = max(ws) + extra
-    assert (invert_perturbed_triangular(m, ws, bound)
-            == truncate_weight(g, ws, bound))
+    assert invert_weight_triangular(m, ws, bound) == truncate_weight(g, ws, bound)
+    assert invert_perturbed_triangular(m, ws, bound) == truncate_weight(g, ws, bound)
+
+
+@given(step3_unipotent_maps(raising=True))
+def test_the_bound_below_the_largest_weight_is_refused_on_every_map(mws):
+    m, ws = mws  # both rank classes: a raising term is drawn or not
+    for f in (invert_weight_triangular, invert_perturbed_triangular):
+        with pytest.raises(ValueError, match="at least the largest weight"):
+            f(m, ws, max(ws) - 1)
+
+
+def test_the_bound_is_refused_on_an_exact_map_too():
+    m, ws = _triangular_example()
+    with pytest.raises(ValueError, match="at least the largest weight"):
+        invert_weight_triangular(m, ws, 1)
 
 
 @given(step3_unipotent_maps(raising=True), st.data())
