@@ -71,8 +71,7 @@ def _as_frame(kind, value, base=None):
     else:
         raise ValueError("this command needs a frame (or catalog) document, got %r" % kind)
     if base is not None:
-        frame = frame.at_base(io.parse_point(base.split(","), frame.n, "--base"),
-                              check=True)
+        frame = frame.at_base(io.parse_point(base.split(","), frame.n, "--base"))
     return frame
 
 

@@ -26,10 +26,10 @@ from .vfields import (Frame, PolyVectorField, adaptation_defect, expand,
 
 
 def _affine_polymap(matrix, shift):
-    """x -> matrix x + shift as a PolyMap."""
+    """x -> matrix x + shift as a PolyMap, for Fraction entries."""
     n = len(shift)
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return PolyMap([RationalPoly(n, [((0,) * n, s)] + list(zip(units, row)))
+    exps = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return PolyMap([RationalPoly._from_terms(n, {e: c for e, c in zip(exps, (s, *row)) if c})
                     for row, s in zip(matrix, shift)])
 
 

@@ -3,8 +3,9 @@
 A polynomial is a dict {exponent tuple: Fraction} with zero coefficients
 dropped eagerly, so equality is plain dict equality.  Variables are indexed
 from 0 internally and printed as x1, ..., xn.  Substitution, and with it
-composition, pushes and inverses, runs one batch kernel (``substitute_all``)
-on integer numerators; its results hold Fractions like every polynomial.
+composition, pushes and exact inverses, runs one batch kernel
+(``substitute_all``) on integer numerators; a truncated inverse sweeps its
+layer products once.  Results hold Fractions like every polynomial.
 """
 
 from bisect import bisect_right
@@ -469,13 +470,15 @@ def invert_weight_triangular(m, weights, max_weight=None):
     allowed), one sweep g_k <- y_k - q_k(g) in increasing weight order gives
     the exact inverse; a bound clips each substitution, which weights >= 0
     make exact.  Otherwise some q_k raises the weight and only a truncated
-    inverse exists, so ``max_weight`` is required.  With m = L + N,
-    L linear and N the terms of two or more factors, g = L^{-1}(y - N(g)):
-    g has no constant terms, so layer d (weighted degree d) of N(g) reads
-    only the layers of g below d, and the pass for d = 1, ..., max_weight
-    with N(g) clipped at d fixes layer d.  m(g(y)) = y modulo weighted
-    degree > max_weight is checked (ArithmeticError).  Raises ValueError on
-    a linear term x_j with w_j = w_k, a singular L or a truncated constant.
+    inverse exists, so ``max_weight`` is required.  With m = L + N, N the
+    terms of two or more factors, g = L^{-1}y - M(g) for M = L^{-1}N.  g has
+    no constant terms, so for |alpha| >= 2 layer d (weighted degree d) of
+    g^alpha is the sum of layer e of g^(alpha - e_j) times layer d - e of
+    g_j over 0 < e < d: one sweep d = 1, ..., max_weight forms each such
+    term pair once, along the chains ``substitute_all`` walks, and then
+    layer d of g.  m(g(y)) = y modulo weighted degree > max_weight is
+    checked (ArithmeticError).  Raises ValueError on a linear term x_j with
+    w_j = w_k, a singular L or a truncated constant.
     """
     ws = as_weights(weights)
     tails, ranks = weight_shape(m.components, ws)
@@ -495,12 +498,30 @@ def invert_weight_triangular(m, weights, max_weight=None):
     l_inv = linalg.mat_inv(m.linear_matrix())
     nonlinear = [RationalPoly._from_terms(n, {e: c for e, c in q.terms.items() if sum(e) > 1})
                  for q in tails]
-    g = [RationalPoly.zero(n)] * n
+    mixed = [sum((q * -c for c, q in zip(row, nonlinear)), RationalPoly.zero(n)) for row in l_inv]
+    # layers[exp][d]: the layer-d terms of g^exp, exp a unit or on the chains of -M's terms
+    units = [next(iter(y.terms)) for y in ident]
+    layers = {unit: [[]] for unit in units}
+    steps = {}  # exponent -> (it with its last variable lowered, that variable)
+    for exp in (exp for q in mixed for exp in q.terms):
+        while exp not in layers:
+            j = max(i for i, e in enumerate(exp) if e)
+            layers[exp], steps[exp] = [[]], (exp[:j] + (exp[j] - 1,) + exp[j + 1:], j)
+            exp = steps[exp][0]
     for d in range(1, max_weight + 1):
-        rhs = [y - q for y, q in zip(ident, substitute_all(nonlinear, g, ws, d))]
-        g = [sum((p * c for p, c in zip(rhs, row) if c), RationalPoly.zero(n))
-             for row in l_inv]
-    g = PolyMap(g)
+        for exp, (lower, j) in steps.items():
+            low, g_j, out = layers[lower], layers[units[j]], {}
+            for e in range(1, d):
+                if low[e] and g_j[d - e]:
+                    _accumulate(out, _product(low[e], (None, g_j[d - e])).items())
+            layers[exp].append(list(out.items()))
+        for unit, row, q in zip(units, l_inv, mixed):
+            out = {y: c for y, c, w in zip(units, row, ws) if c and w == d}
+            for exp, c in q.terms.items():
+                _accumulate(out, [(e, c * v) for e, v in layers[exp][d]])
+            layers[unit].append(list(out.items()))
+    g = PolyMap([RationalPoly._from_terms(n, dict(t for layer in layers[unit] for t in layer))
+                 for unit in units])
     if m.compose(g, ws, max_weight) != PolyMap.identity(n):
         raise ArithmeticError("truncated inverse fails its residual check: m(g(y)) - y "
                               "has terms of weighted degree <= %d" % max_weight)

@@ -259,8 +259,8 @@ class Frame:
             raise DegenerateFrameError("frame is degenerate (B(x) singular) at %s"
                                        % _point_str(point))
 
-    def at_base(self, point, check=False):
-        """Same fields, new base point."""
+    def at_base(self, point, check=True):
+        """Same fields, new base point, checked there unless ``check`` is false."""
         return Frame(self.fields, self.weights, point, check=check)
 
     def bracket_table(self, point=None):

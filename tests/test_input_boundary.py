@@ -348,6 +348,17 @@ def test_cli_base_is_checked_like_a_document_base(capsys, monkeypatch, tmp_path,
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("row", sorted(REBASED))
+def test_at_base_checks_the_new_point_by_default(row):
+    """The library re-base checks as ``--base`` does; ``check=False`` opts out."""
+    frame, base, message = REBASED[row]
+    point = tuple(Fraction(x) for x in base.split(","))
+    with pytest.raises(ValueError) as info:
+        frame.at_base(point)
+    assert str(info.value) == message
+    assert frame.at_base(point, check=False).base_point == point
+
+
 def test_cli_integer_options_allow_surrounding_whitespace(capsys):
     """Integers and rationals share one grammar: surrounding whitespace is
     allowed, as in --x, and the padded option means the plain one."""

@@ -54,7 +54,7 @@ SIGNATURES = {
     'EpsilonResult': '(change, model_fields, exp_model, phi, constants, privileged_frame)',
     'Frame': '(fields, weights, base_point, check=True)',
     'Frame.adapted_matrix': '(self, point=None)',
-    'Frame.at_base': '(self, point, check=False)',
+    'Frame.at_base': '(self, point, check=True)',
     'Frame.bracket_table': '(self, point=None)',
     'Frame.coefficient_matrix': '(self, point=None)',
     'Frame.validate': '(self)',

@@ -4,18 +4,24 @@ per-polynomial Fraction loop in ``oracles``: ``substitute_all``,
 terms, and every coefficient they return is a Fraction (dict equality cannot
 tell, since 2 == Fraction(2))."""
 
+from bisect import bisect_right
 from fractions import Fraction
+import random
 
+import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from carnotkit import poly
 from carnotkit.coords import exact_flow
+from carnotkit.graded import weighted_degree
 from carnotkit.groups import catalog
 from carnotkit.poly import (PolyMap, RationalPoly, invert_weight_triangular,
                             substitute_all, weight_shape)
+from carnotkit.verify import random_raising_perturbation
 from carnotkit.vfields import PolyVectorField, push_fields
 
 import oracles
-from conftest import small_polys, step3_unipotent_maps
+from conftest import fractions, small_polys, step3_unipotent_maps
 
 WS2, WS3 = (1, 2), (1, 1, 2)
 ENGEL = catalog("engel_4").frame
@@ -89,15 +95,75 @@ def test_push_fields_matches_the_fraction_loop(xs, forward, inverse, bound):
             assert_same(c, want)
 
 
-@given(step3_unipotent_maps(raising=True), st.integers(0, 2))
+@st.composite
+def filiform_raising_maps(draw):
+    """Model filiform weights (1, 1, 2, ..., n - 1), n = 5..7: the identity
+    plus two terms of each component of ``random_raising_perturbation``
+    (all of them make the Fraction loop take seconds at n = 7) plus one
+    linear term x_j of component k with w_j > w_k, the shape of the
+    benchmark's adversarial chart variants."""
+    n = draw(st.integers(5, 7))
+    ws = (1,) + tuple(range(1, n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    comps = [y + RationalPoly(n, rng.sample(sorted(q.terms.items()), min(2, len(q.terms))))
+             for y, q in zip(PolyMap.identity(n).components,
+                             random_raising_perturbation(ws, rng).components)]
+    k = draw(st.integers(0, n - 2))
+    j = draw(st.sampled_from([j for j in range(n) if ws[j] > ws[k]]))
+    comps[k] = comps[k] + draw(fractions(4, 3).filter(bool)) * RationalPoly.variable(n, j)
+    return PolyMap(comps), ws
+
+
+@given(st.one_of(step3_unipotent_maps(raising=True, lowering=True), filiform_raising_maps()),
+       st.integers(0, 3))
 def test_truncated_inverse_matches_the_fraction_loop(mws, extra):
+    """Bounds from the largest weight r to r + 3, on step 3 and on filiform
+    steps 4-6; a singular linear part fails in both."""
     m, ws = mws
     assume(max(weight_shape(m.components, ws)[1]) == 2)  # no exact inverse
     bound = max(ws) + extra
+    try:
+        want = oracles.fraction_layered_inverse(m, ws, bound)
+    except ValueError:  # L, drawn with raising and lowering terms, is singular
+        with pytest.raises(ValueError, match="singular"):
+            invert_weight_triangular(m, ws, bound)
+        return
     got = invert_weight_triangular(m, ws, bound)
-    for q, want in zip(got.components,
-                       oracles.fraction_layered_inverse(m, ws, bound).components):
-        assert_same(q, want)
+    for q, w in zip(got.components, want.components):
+        assert_same(q, w)
+
+
+def test_truncated_inverse_forms_each_product_once(monkeypatch):
+    """The layered sweep forms no more term pairs than one substitution of
+    the nonlinear part N into the final inverse g clipped at the bound, plus
+    the residual certificate m(g) (pairs counted as ``_product`` forms
+    them, after its clip)."""
+    pairs = [0]
+    product = poly._product
+
+    def counted(left, right, ws=None, bound=None):
+        left = list(left)
+        degrees, partners = right
+        for e1, _ in left:
+            pairs[0] += (len(partners) if bound is None else
+                         bisect_right(degrees, bound - weighted_degree(e1, ws)))
+        return product(left, right, ws, bound)
+
+    monkeypatch.setattr(poly, "_product", counted)
+    ws, bound = (1, 1, 2, 3), 5
+    x1, x2, x3, x4 = (RationalPoly.variable(4, j) for j in range(4))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    m = PolyMap([x1 + half * x3 - x4, x2 + x1 * x2 + x1 * x3,
+                 x3 + x1 * x1 + 2 * x2 * x3 - third * x4,
+                 x4 + x1 * x2 - third * x3 * x3 + x1 * x4])
+    g = invert_weight_triangular(m, ws, bound)
+    inverse, pairs[0] = pairs[0], 0
+    m.compose(g, ws, bound)
+    certificate, pairs[0] = pairs[0], 0
+    nonlinear = [RationalPoly(4, {e: c for e, c in q.terms.items() if sum(e) > 1})
+                 for q in m.components]
+    substitute_all(nonlinear, g.components, ws, bound)
+    assert certificate < inverse <= pairs[0] + certificate
 
 
 def test_integer_input_gives_fraction_coefficients():
