@@ -86,8 +86,6 @@ def _seed(args, required=False):
 
 
 def _resolve_change(selector, frame):
-    if selector == "epsilon":
-        return epsilon(frame).change
     if selector == "first-kind":
         return canonical_first_kind(frame).change
     if selector == "second-kind":
@@ -235,14 +233,15 @@ def cmd_canonical2(args):
 
 def _check(args, checker):
     frame = _as_frame(*_read_source(args.input), base=args.base)
-    change = _resolve_change(args.change, frame)
-    report = checker(frame, change)
+    eps = epsilon(frame) if args.change == "epsilon" else None
+    change = eps.change if eps is not None else _resolve_change(args.change, frame)
+    report = checker(frame, change, eps)
     _emit(io.verification_report_obj(report))
     return 0 if report.ok else 1
 
 
 def cmd_check_privileged(args):
-    return _check(args, check_privileged)
+    return _check(args, lambda frame, change, _eps: check_privileged(frame, change))
 
 
 def cmd_check_carnot(args):

@@ -1,11 +1,11 @@
 """Coordinate constructions on polynomial H-frames.
 
-The chain is: an affine adaptation at the base point, the triangular
-correction psi that makes the coordinates privileged, the homogeneous
-model fields, and the exponential/logarithm of the model basis, whose
-composition is the epsilon chart.  Exact flows of triangular systems give
-canonical coordinates of the first and second kind; one stacked fixed-step
-RK4 loop backs the numeric variants.
+The epsilon chart composes an affine adaptation at the base point, the
+triangular correction psi that makes the coordinates privileged, and the
+logarithm of the exponential of the homogeneous model fields.  Exact flows
+of triangular systems give canonical coordinates of both kinds, and one
+stacked fixed-step RK4 loop backs the numeric variants.  ``transform_frame``
+is the one way a frame is put into a chart's coordinates.
 """
 
 from fractions import Fraction
@@ -324,35 +324,30 @@ def log_map(m, weights):
 
 
 class EpsilonResult:
-    """The epsilon chart and the parts of its pipeline that callers read.
+    """The epsilon chart of a frame and what its callers read.
 
-    ``change`` is the chart m(x) = eps_hat((B^t)^{-1}(x - a)); the model
-    fields, their exponential, phi = its logarithm, their structure
-    constants and the privileged frame are kept for inspection and reuse.
-    The frame in Carnot coordinates is pushed through phi on first read.
+    ``change`` is the chart m(x) = eps_hat((B^t)^{-1}(x - a)) of ``frame``;
+    ``model_fields`` are the homogeneous model basis and ``constants`` their
+    structure constants.  The frame in Carnot coordinates is pushed through
+    the chart on first read, by the one push every chart takes.
     """
 
-    def __init__(self, change, model_fields, exp_model, phi, constants,
-                 privileged_frame):
+    def __init__(self, frame, change, model_fields, constants):
+        self.frame = frame
         self.change = change
         self.model_fields = model_fields
-        self.exp_model = exp_model
-        self.phi = phi
         self.constants = constants
-        self.privileged_frame = privileged_frame
 
     @cached_property
     def carnot_frame(self):
-        privileged = self.privileged_frame
-        fields = push_fields(privileged.fields, self.phi, self.exp_model)
-        return Frame(fields, privileged.weights, privileged.base_point, check=False)
+        return transform_frame(self.frame, self.change)
 
 
 def epsilon(frame):
     """Carnot coordinates at the frame's base point.
 
     Pipeline: affine adaptation, psi correction, model fields of the
-    privileged frame, phi = log of their exponential; the chart is
+    privileged fields, phi = log of their exponential; the chart is
     phi . psi . T_a and its polynomial factor is unit-triangular, so the
     inverse is exact: x = a + B(a)^t (triangular map).  The tangent
     constants are the brackets of the model fields at the origin.
@@ -360,16 +355,11 @@ def epsilon(frame):
     affine, adapted = linearize(frame)
     psi = psi_map(adapted)
     wv = frame.weights
-    psi_inv = invert_triangular(psi, wv)
-    privileged_fields = push_fields(adapted.fields, psi, psi_inv)
-    models = [model_field(x, j, wv.weights)
-              for j, x in enumerate(privileged_fields)]
-    exp_model = exp_map(models, wv)
-    phi = invert_triangular(exp_model, wv)
+    privileged_fields = push_fields(adapted.fields, psi, invert_triangular(psi, wv))
+    models = [model_field(x, j, wv.weights) for j, x in enumerate(privileged_fields)]
+    phi = invert_triangular(exp_map(models, wv), wv)
     change = CoordinateChange(affine.matrix, affine.offset, wv, phi.compose(psi))
-    privileged_frame = Frame(privileged_fields, wv, (0,) * wv.n, check=False)
-    return EpsilonResult(change, models, exp_model, phi,
-                         model_structure_constants(models, wv), privileged_frame)
+    return EpsilonResult(frame, change, models, model_structure_constants(models, wv))
 
 
 def convert_nilpotent_approx(models, targets, weights):

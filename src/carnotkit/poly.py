@@ -287,8 +287,8 @@ def substitute_all(polys, args, weights=None, bound=None):
     exponent met is formed once per call, as the image of the exponent with
     e_j lowered by one times a_j, j its last variable; every polynomial of
     the batch reads it.  A bound clips each product as it is formed (see
-    ``_product``), which weights >= 0 make exact.  Each polynomial sums its
-    terms' images over one common denominator into Fraction coefficients.
+    ``_product``), which only weights >= 0 make exact.  Each polynomial sums
+    its terms' images over one common denominator into Fractions.
     """
     n, m = len(args), args[0].n if args else 0
     if any(p.n != n for p in polys):
@@ -302,6 +302,8 @@ def substitute_all(polys, args, weights=None, bound=None):
         ws = as_weights(weights)
         if len(ws) != m:
             raise ValueError("weights must grade the substitution variables")
+        if any(w < 0 for w in ws):
+            raise ValueError("a weight bound needs nonnegative weights")
         if bound < 0:  # every monomial, the constant one included, is above it
             return [RationalPoly(m) for _ in polys]
     dens = [lcm(*(c.denominator for c in g.terms.values())) for g in args]
@@ -478,7 +480,7 @@ def invert_weight_triangular(m, weights, max_weight=None):
     term pair once, along the chains ``substitute_all`` walks, and then
     layer d of g.  m(g(y)) = y modulo weighted degree > max_weight is
     checked (ArithmeticError).  Raises ValueError on a linear term x_j with
-    w_j = w_k, a singular L or a truncated constant.
+    w_j = w_k, a singular L, or a truncated constant or weight below 1.
     """
     ws = as_weights(weights)
     tails, ranks = weight_shape(m.components, ws)
@@ -493,8 +495,8 @@ def invert_weight_triangular(m, weights, max_weight=None):
         return PolyMap(g)
     if max_weight is None:
         raise ValueError("no exact inverse; pass max_weight to truncate")
-    if any((0,) * n in q.terms for q in tails):
-        raise ValueError("a constant term leaves no truncated inverse")
+    if min(ws) < 1 or any((0,) * n in q.terms for q in tails):
+        raise ValueError("a truncated inverse needs positive weights and no constant term")
     l_inv = linalg.mat_inv(m.linear_matrix())
     nonlinear = [RationalPoly._from_terms(n, {e: c for e, c in q.terms.items() if sum(e) > 1})
                  for q in tails]

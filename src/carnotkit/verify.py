@@ -116,6 +116,17 @@ def _carnot_residual(change, eps_change):
     return change.poly.compose(link.compose(q_eps), ws, r) - PolyMap.identity(len(ws))
 
 
+def _own_epsilon(frame, eps):
+    """``eps`` if it is the frame's own epsilon chart; None builds that."""
+    if eps is None:
+        return epsilon(frame)
+    got = eps.frame
+    if got is not frame and (got.weights, got.base_point, got.fields) != (
+            frame.weights, frame.base_point, frame.fields):
+        raise ValueError("eps is the epsilon chart of another frame")
+    return eps
+
+
 def check_carnot(frame, change, eps=None):
     """Are the coordinates u = change(x) Carnot coordinates for the frame?
 
@@ -127,7 +138,8 @@ def check_carnot(frame, change, eps=None):
     component k would pass the weight test as a function, yet it tilts the
     pushed frame at the origin -- X_j(0) picks up a spurious e_k -- so the
     chart is no longer adapted; both routes must reject it.)  The two
-    verdicts must agree; witnesses come from both routes.
+    verdicts must agree; witnesses come from both routes.  ``eps`` is the
+    frame's own epsilon chart when given.
     """
     wv = frame.weights
     pushed, exact = _push_through(frame, change)
@@ -144,9 +156,7 @@ def check_carnot(frame, change, eps=None):
                     "left-invariant model %r" % (j + 1, j + 1, models[j], li[j]))
     route_a = not witnesses
 
-    if eps is None:
-        eps = epsilon(frame)
-    residual = _carnot_residual(change, eps.change)
+    residual = _carnot_residual(change, _own_epsilon(frame, eps).change)
     violations = ow_violations(residual, 1, wv.weights)
     for k, comp in enumerate(residual.components):
         for exp, coef in comp.sorted_terms():
@@ -375,8 +385,7 @@ def numeric_chart_report(frame, kind="first", m=1, eps=None, directions=None,
     """
     wv = frame.weights
     sampler = ChartSampler(frame, kind)
-    if eps is None:
-        eps = epsilon(frame)
+    eps = _own_epsilon(frame, eps)
     if directions is None:
         if rng is None:
             raise ValueError("provide rng or explicit directions")

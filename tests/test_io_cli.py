@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 
 import carnotkit
-from carnotkit import cli, io
+from carnotkit import cli, io, verify
 from carnotkit.coords import CoordinateChange, epsilon
 from carnotkit.groups import catalog
 from carnotkit.poly import PolyMap, RationalPoly
@@ -242,6 +242,28 @@ def test_cli_epsilon_then_check_carnot(capsys, tmp_path):
                      "--change", str(change_file)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True and report["witnesses"] == []
+
+
+def test_cli_check_carnot_builds_epsilon_once(capsys, monkeypatch, tmp_path):
+    """check-carnot --change epsilon hands its chart to the check: one
+    epsilon call, and the report the chart's change document gives."""
+    source = ["perturbed_engel_4", "--base", "1/2,0,-1,2"]
+    assert cli.main(["epsilon", *source]) == 0
+    change_file = tmp_path / "change.json"
+    change_file.write_text(capsys.readouterr().out)
+    assert cli.main(["check-carnot", *source, "--change", str(change_file)]) == 0
+    want = capsys.readouterr().out
+    calls = []
+
+    def counted(frame):
+        calls.append(frame)
+        return epsilon(frame)
+
+    monkeypatch.setattr(cli, "epsilon", counted)
+    monkeypatch.setattr(verify, "epsilon", counted)
+    assert cli.main(["check-carnot", *source, "--change", "epsilon"]) == 0
+    assert capsys.readouterr().out == want
+    assert len(calls) == 1
 
 
 def test_cli_check_carnot_flags_second_kind(capsys):

@@ -93,6 +93,29 @@ def test_a_weight_bound_without_weights_is_bad_input():
         RationalPoly.variable(2, 0).substitute(ident.components, None, 3)
 
 
+def test_a_weight_bound_refuses_a_negative_weight():
+    """The clip drops a pair once its weighted degrees sum past the bound,
+    which only weights >= 0 make exact: under (-1, 2) the image x1^3 x2 has
+    weighted degree -1 <= 0, and the clipped product read 0."""
+    x1, x2 = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+    p, args = RationalPoly.monomial(2, (1, 1)), [x1 * x2, x1 * x1]
+    with pytest.raises(ValueError, match="nonnegative weights"):
+        p.substitute(args, (-1, 2), 0)
+    with pytest.raises(ValueError, match="nonnegative weights"):
+        PolyMap([p]).compose(PolyMap(args), (-1, 2), 0)
+    assert p.substitute(args, (-1, 2)) == x1 ** 3 * x2  # no bound, no clip
+    assert p.substitute(args, (0, 2), 2) == x1 ** 3 * x2  # weight 0 stays legal
+
+
+@pytest.mark.parametrize("weights", [(0, 1), (-1, 1)])
+def test_a_truncated_inverse_refuses_a_weight_below_one(weights):
+    """The layered sweep starts at weighted degree 1, so a weight below 1
+    used to end in the residual check's ArithmeticError."""
+    x1, x2 = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+    with pytest.raises(ValueError, match="positive weights"):
+        invert_weight_triangular(PolyMap([x1 + x2 * x2, x2]), weights, 3)
+
+
 @given(small_polys(3, max_terms=4, max_exp=3), st.integers(min_value=0, max_value=2))
 def test_partial_matches_the_power_rule(p, j):
     want = RationalPoly(3, [(e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])

@@ -51,7 +51,7 @@ SIGNATURES = {
     'CoordinateChange.identity': '(weights)',
     'CoordinateChange.inverse_apply': '(self, point)',
     'CoordinateChange.inverse_polymap': '(self, max_weight=None)',
-    'EpsilonResult': '(change, model_fields, exp_model, phi, constants, privileged_frame)',
+    'EpsilonResult': '(frame, change, model_fields, constants)',
     'Frame': '(fields, weights, base_point, check=True)',
     'Frame.adapted_matrix': '(self, point=None)',
     'Frame.at_base': '(self, point, check=True)',

@@ -61,6 +61,32 @@ def test_checks_reject_a_change_with_other_weights(h3_frame, check):
         check(h3_frame, other)
 
 
+def test_check_carnot_refuses_the_epsilon_of_another_frame():
+    """eps must be the frame's own chart: one built at another base point
+    used to reach the "verdicts disagree ... this is a bug" path."""
+    frame = catalog("perturbed_engel_4").frame
+    a = frame.at_base((Fraction(1, 2), 0, -1, 2))
+    b = frame.at_base((Fraction(1, 3), 1, 0, Fraction(1, 2)))
+    eps = epsilon(a)
+    assert check_carnot(a, eps.change, eps=eps).ok
+    assert check_carnot(a, eps.change, eps=epsilon(frame.at_base(a.base_point))).ok
+    for other in (epsilon(b), epsilon(catalog("engel_4").frame.at_base(a.base_point))):
+        with pytest.raises(ValueError, match="another frame"):
+            check_carnot(a, eps.change, eps=other)
+
+
+def test_numeric_report_refuses_the_epsilon_of_another_frame():
+    """Against the chart of another base point the first-kind residual read
+    slopes near -2, a wrong failure; with its own chart the report passes."""
+    frame = catalog("perturbed_heisenberg_3").frame
+    other = epsilon(frame.at_base((Fraction(1, 2), Fraction(1, 3), -1)))
+    with pytest.raises(ValueError, match="another frame"):
+        numeric_chart_report(frame, "first", eps=other, n_directions=2,
+                             rng=random.Random(5))
+    assert numeric_chart_report(frame, "first", eps=epsilon(frame), n_directions=2,
+                                rng=random.Random(5)).passed
+
+
 def test_report_truth_value(h3_frame):
     eps = epsilon(h3_frame)
     report = check_privileged(h3_frame, eps.change)
