@@ -458,7 +458,7 @@ def canonical_second_kind(frame):
 
 
 # ---------------------------------------------------------------------------
-# Numeric harness: one stacked RK4 loop and fitted charts; only it loads numpy.
+# Numeric harness: one stacked RK4 entry point and fitted charts; only it loads numpy.
 # ---------------------------------------------------------------------------
 
 
@@ -485,6 +485,7 @@ def _float_frame(fields):
 
 
 MAX_RK4_STEPS = 10 ** 6
+RK4_BLOCK = 256  # rows x steps in one block of the layer sweep
 MAX_FIT_ENTRIES = 2 * 10 ** 6  # samples x basis monomials of one least-squares fit
 MAX_OSCULATION_DIRECTIONS = 64  # `carnot osculate`: one epsilon chart per direction and scale
 
@@ -506,11 +507,16 @@ def _rk4_counts(times, step):
 def _rk4(coeffs, exps, y0, times, step):
     """Classic RK4 for x' = coeffs @ x^E on a stack: row s of y0 (S, n) takes
     ceil(|t_s| / step) equal steps through time times[s], then stays put;
-    coeffs is (n, T), shared, or (S, n, T), one per row.  Checks come first,
-    and each row's velocity is the matrix-vector product a lone row takes."""
+    coeffs is (n, T), shared, or (S, n, T), one per row.  Checks come first.
+    A system whose read graph has no cycle is swept layer by layer over
+    blocks of steps (_rk4_layers); a cyclic one, or a sweep that ends off
+    the finite floats, takes the step loop (_rk4_steps).  Wherever the step
+    loop's endpoints are finite the two agree bit for bit, and each row's
+    velocity is the product a lone row takes."""
     import numpy as np
     times = np.asarray(times, dtype=float)
     counts = _rk4_counts(times, step)
+    layers = _read_layers(coeffs, exps)
     order = np.argsort(-counts, kind="stable")  # the moving rows are a prefix
     times, counts = times[order], counts[order]
     coeffs = coeffs[order] if coeffs.ndim == 3 else coeffs
@@ -518,8 +524,38 @@ def _rk4(coeffs, exps, y0, times, step):
         h = times[0].item() / max(int(counts[0]), 1)
     else:
         h = (times / np.maximum(counts, 1))[:, None, None]
+    y0 = np.array(y0, dtype=float)[order]
+    out = None if layers is None else _rk4_layers(coeffs, exps, y0, counts, h, layers)
+    if out is None or not np.isfinite(out).all():
+        out = _rk4_steps(coeffs, exps, y0, counts, h)
+    return out[np.argsort(order)]
+
+
+def _read_layers(coeffs, exps):
+    """The components of x' = coeffs @ x^E as layers (rows, reads), each
+    reading only the variables `reads` of earlier layers, or None when the
+    read graph has a cycle.  Row k reads x_l when a term with a nonzero
+    coefficient in row k, of any row's tensor, has a nonzero exponent on l."""
+    import numpy as np
+    nonzero = coeffs != 0
+    if nonzero.ndim == 3:
+        nonzero = nonzero.any(axis=0)
+    reads = nonzero.astype(int) @ (exps != 0).astype(int) > 0  # (n, n)
+    layers, done = [], np.zeros(len(reads), dtype=bool)
+    while not done.all():
+        rows = np.flatnonzero(~done & ~(reads & ~done).any(axis=1))
+        if not len(rows):
+            return None
+        layers.append((rows, np.flatnonzero(reads[rows].any(axis=0))))
+        done[rows] = True
+    return layers
+
+
+def _rk4_steps(coeffs, exps, y0, counts, h):
+    """The step loop, on rows sorted by falling step count."""
+    import numpy as np
     half, sixth = 0.5 * h, h / 6.0
-    x = out = np.array(y0, dtype=float)[order, :, None]  # (S, n, 1) columns
+    x = out = y0[:, :, None].copy()  # (S, n, 1) columns
     for i in range(int(counts.max(initial=0))):
         if counts[len(x) - 1] <= i:  # rows whose steps are done stay put
             moving = int((counts > i).sum())
@@ -530,11 +566,64 @@ def _rk4(coeffs, exps, y0, times, step):
         k3 = coeffs @ ((x + half * k2).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
         k4 = coeffs @ ((x + h * k3).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
         x += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out[np.argsort(order), :, 0]
+    return out[:, :, 0]
+
+
+def _power(x, e):
+    """x ** e as the step loop's np.power gives it: exactly 1 and x for e = 0
+    and 1, and otherwise from a full exponent array, since numpy computes
+    x ** 2 as x * x, whose bits can differ, for a lone exponent."""
+    import numpy as np
+    return np.ones(x.shape) if e == 0 else x if e == 1 else x ** np.full(x.shape, e)
+
+
+def _rk4_layers(coeffs, exps, y0, counts, h, layers):
+    """The step loop's arithmetic, one layer of components at a time over a
+    block of at most RK4_BLOCK rows x steps.  A layer's four stage
+    velocities at every step of the block read only earlier layers' stage
+    states, so they are four stacked (n, T) . (T, 1) products; its
+    increments, zero past a row's step count, add up by np.cumsum as
+    x += inc adds them; and its stage states x + h/2 k1, x + h/2 k2,
+    x + h k3 follow.  Monomials multiply x_l ** e_l in variable order, as
+    prod does, from a table of each read variable's powers at its distinct
+    exponents, 0 among them."""
+    import numpy as np
+    half, sixth = 0.5 * h, h / 6.0
+    exponents = {l: np.array(sorted({0.0, *exps[:, l].tolist()}))
+                 for l in sorted({int(l) for _, reads in layers for l in reads})}
+    slots = {l: np.searchsorted(e, exps[:, l]) for l, e in exponents.items()}
+    x, start, total = y0.copy(), 0, int(counts.max(initial=0))
+    while start < total:
+        moving = int((counts > start).sum())
+        size = min(total - start, max(1, RK4_BLOCK // moving))
+        live = (counts[:moving, None] > start + np.arange(size))[..., None]
+        c = coeffs[:moving, None] if coeffs.ndim == 3 else coeffs
+        hb, halfb, sixthb = ((v[:moving] if np.ndim(v) else v) for v in (h, half, sixth))
+        tables = {}  # x_l ** exponents[l] at the four stage states: (4, S, steps, D)
+        for rows, reads in layers:
+            mon = np.ones(len(exps))
+            for l in reads:
+                mon = mon * tables[l][..., slots[l]]
+            k = (c @ mon[..., None])[..., rows, 0]
+            k1, k2, k3, k4 = k if len(reads) else (k,) * 4
+            inc = np.where(live, sixthb * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+            path = np.cumsum(np.concatenate([x[:moving, None, rows], inc], axis=1), axis=1)
+            x[:moving, rows] = path[:, -1]
+            s1 = path[:, :-1]
+            stages = np.stack([s1, s1 + halfb * k1, s1 + halfb * k2, s1 + hb * k3])
+            for pos, l in enumerate(rows.tolist()):
+                if l in exponents:
+                    tables[l] = np.stack([_power(stages[..., pos], e)
+                                          for e in exponents[l]], -1)
+        start += size
+    return x
 
 
 def numeric_flow(field, y, t_total, step=1e-3):
     """Classic fixed-step RK4 endpoint of x' = X(x), x(0) = y (one _rk4 row)."""
+    if len(y) != field.n:
+        raise ValueError("start point has %d coordinates; the field has n = %d"
+                         % (len(y), field.n))
     exps, coeffs = _float_frame([field])
     return tuple(_rk4(coeffs[0], exps, [y], [t_total], step)[0].tolist())
 
@@ -624,6 +713,9 @@ class ChartSampler:
         an (S, n) stack, as an (S, n) array from one stacked integration."""
         import numpy as np
         stack = np.atleast_2d(np.array(xi, dtype=float))
+        if stack.ndim != 2 or stack.shape[1] != len(self.base):
+            raise ValueError("xi must have n = %d coordinates, or be a stack of such "
+                             "rows; got shape %s" % (len(self.base), np.shape(xi)))
         x = np.broadcast_to(self.base, stack.shape)
         if self.kind == "first":
             x = _rk4(np.einsum("sj,jkt->skt", stack, self._coeffs), self._exps,

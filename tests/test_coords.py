@@ -3,7 +3,7 @@ import random as random_mod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from carnotkit.graded import WeightVector
 from carnotkit.groups import (catalog, model_structure_constants,
@@ -807,6 +807,107 @@ def test_stacked_rk4_with_per_row_tensors_and_times(case, times):
     for s, row in enumerate(got):
         want = oracles.per_sample_rk4(per_row[s], exps, starts[s], row_times[s], 1e-2)
         assert np.max(np.abs(row - want)) <= 1e-15
+
+
+@st.composite
+def _triangular_systems(draw):
+    """x' = C @ x^E in which component order[p] reads only the variables
+    order[:p] of a random order, so the layers need not follow the variable
+    order, as (E, C, y0, times, step).  C is one (n, T) matrix or one
+    (S, n, T) tensor per row, with coefficients zeroed per row; times are
+    one schedule or one per row, zeros and negatives among them."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    coefficient = st.floats(-2, 2, allow_nan=False).filter(bool)
+    rows = [{} for _ in range(n)]
+    for p, k in enumerate(order):
+        monomial = st.lists(st.sampled_from(order[:p]), max_size=4) if p else st.just([])
+        for c, picks in draw(st.lists(st.tuples(coefficient, monomial), max_size=3)):
+            exp = tuple(picks.count(l) for l in range(n))
+            rows[k][exp] = rows[k].get(exp, 0.0) + c
+    exps = sorted({exp for row in rows for exp in row})
+    coeffs = np.array([[row.get(exp, 0.0) for exp in exps] for row in rows]).reshape(n, -1)
+    size = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # one tensor per row
+        keep = st.lists(st.sampled_from([0.0, 1.0, -0.5, 3.0]), min_size=coeffs.size,
+                        max_size=coeffs.size)
+        coeffs = np.array([coeffs * np.reshape(draw(keep), coeffs.shape)
+                           for _ in range(size)])
+    y0 = draw(st.lists(st.lists(st.floats(-1, 1), min_size=n, max_size=n),
+                       min_size=size, max_size=size))
+    time = st.sampled_from([0.0, 1.0, -0.45, 0.3, -1.2, 0.05])
+    times = draw(st.one_of(time.map(lambda t: [t] * size),
+                           st.lists(time, min_size=size, max_size=size)))
+    step = draw(st.sampled_from([0.013, 0.05, 0.1]))
+    return np.array(exps, dtype=float).reshape(-1, n), coeffs, y0, times, step
+
+
+def _refuse(*args):
+    raise AssertionError("the other RK4 path ran")
+
+
+@settings(max_examples=80)
+@given(_triangular_systems(), st.integers(1, 24))
+def test_layer_sweep_is_the_step_loop_bit_for_bit(system, block):
+    """Lone rows and stacks, shared and per-row tensors; small blocks make
+    rows finish inside different blocks."""
+    exps, coeffs, y0, times, step = system
+    assert coords._read_layers(coeffs, exps) is not None
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(coords, "_read_layers", lambda c, e: None)
+        want = coords._rk4(coeffs, exps, y0, times, step)
+    assume(np.isfinite(want).all())  # a deep chain of quartics can overflow
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coords, "RK4_BLOCK", block)
+        mp.setattr(coords, "_rk4_steps", _refuse)
+        got = coords._rk4(coeffs, exps, y0, times, step)
+    assert np.array_equal(got, want)
+
+
+def test_sweep_off_the_finite_floats_returns_the_loops_endpoints():
+    """x1' = 0, x2' = x1^2 from x1 = 1e300: the sweep gives (1e300, inf),
+    but the loop's product for x1 meets 0 * inf and turns x1 to nan as
+    well; the loop's endpoints are the ones returned."""
+    exps, coeffs = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
+    with np.errstate(all="ignore"):
+        got = coords._rk4(coeffs, exps, [[1e300, 0.0]], [0.1], 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coords, "_read_layers", lambda c, e: None)
+            want = coords._rk4(coeffs, exps, [[1e300, 0.0]], [0.1], 0.05)
+    assert np.isnan(want).all() and np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("exps, coeffs", [
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]),  # x1 d2 - x2 d1
+    ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.7], [1.0, 0.0]]),   # x1' = 0.7 x1 reads itself
+], ids=["rotation", "self-loop"])
+def test_cyclic_system_takes_the_step_loop(exps, coeffs):
+    exps, coeffs = np.array(exps), np.array(coeffs)
+    y0, times = [[1.0, 0.0], [0.3, -0.2], [0.5, 0.5]], [2 * np.pi, -1.0, 0.0]
+    assert coords._read_layers(coeffs, exps) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coords, "_rk4_layers", _refuse)
+        got = coords._rk4(coeffs, exps, y0, times, 1e-2)
+    for row, y, t in zip(got, y0, times):
+        want = oracles.per_sample_rk4(coeffs, exps, y, t, 1e-2)
+        assert np.max(np.abs(row - want)) <= 1e-15
+
+
+def test_long_lone_flow_works_in_bounded_memory(h3_frame):
+    """2 * 10^5 steps of X2 = d2 + (x1/2) d3 in blocks: numpy reports its
+    arrays to tracemalloc, and the peak stays under 1 MiB, where one
+    float per step of a single stage already takes 1.6 MB."""
+    import tracemalloc
+    field, y = h3_frame.fields[1], (0.1, 0.2, 0.3)
+    numeric_flow(field, y, 0.01)
+    tracemalloc.start()
+    try:
+        x = numeric_flow(field, y, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert x[0] == 0.1 and abs(x[1] - 200.2) < 1e-6 and abs(x[2] - 10.3) < 1e-6
 
 
 @pytest.mark.parametrize("name, kind, directions, seed, passed", [

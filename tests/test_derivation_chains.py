@@ -60,6 +60,7 @@ def low_degree_polys(n):
         RationalPoly.zero(n)))
 
 
+@settings(derandomize=True)  # the oracle's cost varies by draw; pin the draws
 @given(frames(), st.data())
 def test_function_order_matches_unclipped_enumeration(frame, data):
     """At the origin (epsilon's pushed frame and the affinely adapted one,

@@ -6,7 +6,8 @@ document, and cli.main turns every bad input into one error line, exit 2.
 - every subcommand and every --change selector, run in process against the
   library call it wraps;
 - an AST pin that cli.py parses nothing and exits nowhere by itself;
-- numeric sizes past their caps, refused before any work starts.
+- numeric sizes past their caps, refused before any work starts;
+- RK4 points of the wrong length, refused with a message that names n.
 """
 
 import ast
@@ -404,6 +405,19 @@ def test_cli_caps_numeric_sizes_before_any_work(capsys, monkeypatch, argv, messa
                          (verify, "epsilon"), (verify, "random_osculation_directions")):
         monkeypatch.setattr(module, name, _refuse_work)
     assert _run(capsys, argv) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("length", [1, 4], ids=["1", "n+1"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+def test_rk4_points_of_the_wrong_length_name_n(length, stacked):
+    frame = catalog("heisenberg_3").frame
+    point = (0.1,) * length
+    for kind in ("first", "second"):
+        with pytest.raises(ValueError, match="n = 3"):
+            coords.ChartSampler(frame, kind)([point, point] if stacked else point)
+    if not stacked:
+        with pytest.raises(ValueError, match="n = 3"):
+            coords.numeric_flow(frame.fields[0], point, 1.0)
 
 
 # ---------------------------------------------------------------------------
