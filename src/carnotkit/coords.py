@@ -508,27 +508,69 @@ def _rk4(coeffs, exps, y0, times, step):
     """Classic RK4 for x' = coeffs @ x^E on a stack: row s of y0 (S, n) takes
     ceil(|t_s| / step) equal steps through time times[s], then stays put;
     coeffs is (n, T), shared, or (S, n, T), one per row.  Checks come first.
-    A system whose read graph has no cycle is swept layer by layer over
-    blocks of steps (_rk4_layers); a cyclic one, or a sweep that ends off
-    the finite floats, takes the step loop (_rk4_steps).  Wherever the step
-    loop's endpoints are finite the two agree bit for bit, and each row's
-    velocity is the product a lone row takes."""
+    One loop runs blocks of steps on the rows still moving, and the read
+    graph picks the block body.  A cyclic system takes whole-system steps up
+    to the next row's last step.  An acyclic one is swept one layer of
+    components at a time over at most RK4_BLOCK rows x steps, with their
+    arithmetic: a layer's four stage velocities at every step of the block
+    read only earlier layers' stage states, so they are four stacked
+    (n, T) . (T, 1) products; its increments, zero past a row's step count,
+    add up by np.cumsum as x += inc adds them; and its stage states
+    x + h/2 k1, x + h/2 k2, x + h k3 follow.  Monomials multiply x_l ** e_l
+    in variable order, as prod does, from a table of each read variable's
+    powers at its distinct exponents, 0 among them.  So the sweep's
+    endpoints are the whole-system steps' bit for bit wherever those are
+    finite, and each row's velocity is the product a lone row takes."""
     import numpy as np
     times = np.asarray(times, dtype=float)
     counts = _rk4_counts(times, step)
     layers = _read_layers(coeffs, exps)
     order = np.argsort(-counts, kind="stable")  # the moving rows are a prefix
-    times, counts = times[order], counts[order]
+    counts, x = counts[order], np.array(y0, dtype=float)[order]
     coeffs = coeffs[order] if coeffs.ndim == 3 else coeffs
-    if len(set(times.tolist())) == 1:  # one schedule: Python float constants
-        h = times[0].item() / max(int(counts[0]), 1)
-    else:
-        h = (times / np.maximum(counts, 1))[:, None, None]
-    y0 = np.array(y0, dtype=float)[order]
-    out = None if layers is None else _rk4_layers(coeffs, exps, y0, counts, h, layers)
-    if out is None or not np.isfinite(out).all():
-        out = _rk4_steps(coeffs, exps, y0, counts, h)
-    return out[np.argsort(order)]
+    h = (times[order] / np.maximum(counts, 1))[:, None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    exponents = {l: np.array(sorted({0.0, *exps[:, l].tolist()}))
+                 for l in sorted({int(l) for _, reads in layers or () for l in reads})}
+    slots = {l: np.searchsorted(e, exps[:, l]) for l, e in exponents.items()}
+    start, total = 0, int(counts.max(initial=0))
+    while start < total:
+        moving = int((counts > start).sum())
+        c = coeffs[:moving] if coeffs.ndim == 3 else coeffs
+        hb, halfb, sixthb = h[:moving], half[:moving], sixth[:moving]
+        if layers is None:  # whole-system steps on (S, n, 1) columns of x
+            size, s = int(counts[moving - 1]) - start, x[:moving, :, None]
+            # h at the states' own shape: numpy multiplies equal shapes faster
+            hb, halfb, sixthb = (v * np.ones(s.shape) for v in (hb, halfb, sixthb))
+            for _ in range(size):
+                k1 = c @ _monomials(s[..., 0], exps)[..., None]
+                k2 = c @ _monomials((s + halfb * k1)[..., 0], exps)[..., None]
+                k3 = c @ _monomials((s + halfb * k2)[..., 0], exps)[..., None]
+                k4 = c @ _monomials((s + hb * k3)[..., 0], exps)[..., None]
+                s += sixthb * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            start += size
+            continue
+        size = min(total - start, max(1, RK4_BLOCK // moving))
+        live = (counts[:moving, None] > start + np.arange(size))[..., None]
+        c = c[:, None] if c.ndim == 3 else c
+        tables = {}  # x_l ** exponents[l] at the four stage states: (4, S, steps, D)
+        for rows, reads in layers:
+            mon = np.ones(len(exps))
+            for l in reads:
+                mon = mon * tables[l][..., slots[l]]
+            k = (c @ mon[..., None])[..., rows, 0]
+            k1, k2, k3, k4 = k if len(reads) else (k,) * 4
+            inc = np.where(live, sixthb * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+            path = np.cumsum(np.concatenate([x[:moving, None, rows], inc], axis=1), axis=1)
+            x[:moving, rows] = path[:, -1]
+            s1 = path[:, :-1]
+            stages = np.stack([s1, s1 + halfb * k1, s1 + halfb * k2, s1 + hb * k3])
+            for pos, l in enumerate(rows.tolist()):
+                if l in exponents:
+                    tables[l] = np.stack([_power(stages[..., pos], e)
+                                          for e in exponents[l]], -1)
+        start += size
+    return x[np.argsort(order)]
 
 
 def _read_layers(coeffs, exps):
@@ -551,72 +593,12 @@ def _read_layers(coeffs, exps):
     return layers
 
 
-def _rk4_steps(coeffs, exps, y0, counts, h):
-    """The step loop, on rows sorted by falling step count."""
-    import numpy as np
-    half, sixth = 0.5 * h, h / 6.0
-    x = out = y0[:, :, None].copy()  # (S, n, 1) columns
-    for i in range(int(counts.max(initial=0))):
-        if counts[len(x) - 1] <= i:  # rows whose steps are done stay put
-            moving = int((counts > i).sum())
-            x, h, half, sixth = x[:moving], h[:moving], half[:moving], sixth[:moving]
-            coeffs = coeffs[:moving] if coeffs.ndim == 3 else coeffs
-        k1 = coeffs @ (x.transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
-        k2 = coeffs @ ((x + half * k1).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
-        k3 = coeffs @ ((x + half * k2).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
-        k4 = coeffs @ ((x + h * k3).transpose(0, 2, 1) ** exps).prod(-1, keepdims=True)
-        x += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out[:, :, 0]
-
-
 def _power(x, e):
-    """x ** e as the step loop's np.power gives it: exactly 1 and x for e = 0
-    and 1, and otherwise from a full exponent array, since numpy computes
-    x ** 2 as x * x, whose bits can differ, for a lone exponent."""
+    """x ** e as the whole-system steps' np.power gives it: exactly 1 and x
+    for e = 0 and 1, and otherwise from a full exponent array, since numpy
+    computes x ** 2 as x * x, whose bits can differ, for a lone exponent."""
     import numpy as np
     return np.ones(x.shape) if e == 0 else x if e == 1 else x ** np.full(x.shape, e)
-
-
-def _rk4_layers(coeffs, exps, y0, counts, h, layers):
-    """The step loop's arithmetic, one layer of components at a time over a
-    block of at most RK4_BLOCK rows x steps.  A layer's four stage
-    velocities at every step of the block read only earlier layers' stage
-    states, so they are four stacked (n, T) . (T, 1) products; its
-    increments, zero past a row's step count, add up by np.cumsum as
-    x += inc adds them; and its stage states x + h/2 k1, x + h/2 k2,
-    x + h k3 follow.  Monomials multiply x_l ** e_l in variable order, as
-    prod does, from a table of each read variable's powers at its distinct
-    exponents, 0 among them."""
-    import numpy as np
-    half, sixth = 0.5 * h, h / 6.0
-    exponents = {l: np.array(sorted({0.0, *exps[:, l].tolist()}))
-                 for l in sorted({int(l) for _, reads in layers for l in reads})}
-    slots = {l: np.searchsorted(e, exps[:, l]) for l, e in exponents.items()}
-    x, start, total = y0.copy(), 0, int(counts.max(initial=0))
-    while start < total:
-        moving = int((counts > start).sum())
-        size = min(total - start, max(1, RK4_BLOCK // moving))
-        live = (counts[:moving, None] > start + np.arange(size))[..., None]
-        c = coeffs[:moving, None] if coeffs.ndim == 3 else coeffs
-        hb, halfb, sixthb = ((v[:moving] if np.ndim(v) else v) for v in (h, half, sixth))
-        tables = {}  # x_l ** exponents[l] at the four stage states: (4, S, steps, D)
-        for rows, reads in layers:
-            mon = np.ones(len(exps))
-            for l in reads:
-                mon = mon * tables[l][..., slots[l]]
-            k = (c @ mon[..., None])[..., rows, 0]
-            k1, k2, k3, k4 = k if len(reads) else (k,) * 4
-            inc = np.where(live, sixthb * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
-            path = np.cumsum(np.concatenate([x[:moving, None, rows], inc], axis=1), axis=1)
-            x[:moving, rows] = path[:, -1]
-            s1 = path[:, :-1]
-            stages = np.stack([s1, s1 + halfb * k1, s1 + halfb * k2, s1 + hb * k3])
-            for pos, l in enumerate(rows.tolist()):
-                if l in exponents:
-                    tables[l] = np.stack([_power(stages[..., pos], e)
-                                          for e in exponents[l]], -1)
-        start += size
-    return x
 
 
 def numeric_flow(field, y, t_total, step=1e-3):
@@ -630,6 +612,9 @@ def numeric_flow(field, y, t_total, step=1e-3):
 
 def combined_field(fields, xi):
     """sum_j xi_j X_j with exact rational coefficients."""
+    if not fields or len(xi) != len(fields):
+        raise ValueError("xi needs one entry per field of a nonempty list, n = %d; "
+                         "got %d" % (len(fields), len(xi)))
     out = PolyVectorField.zero(fields[0].n)
     for c, f in zip(xi, fields):
         c = Fraction(c)

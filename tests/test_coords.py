@@ -842,15 +842,12 @@ def _triangular_systems(draw):
     return np.array(exps, dtype=float).reshape(-1, n), coeffs, y0, times, step
 
 
-def _refuse(*args):
-    raise AssertionError("the other RK4 path ran")
-
-
 @settings(max_examples=80)
 @given(_triangular_systems(), st.integers(1, 24))
 def test_layer_sweep_is_the_step_loop_bit_for_bit(system, block):
-    """Lone rows and stacks, shared and per-row tensors; small blocks make
-    rows finish inside different blocks."""
+    """The layer sweep against the whole-system body (the read graph patched
+    to report a cycle): lone rows and stacks, shared and per-row tensors;
+    small blocks make rows finish inside different blocks."""
     exps, coeffs, y0, times, step = system
     assert coords._read_layers(coeffs, exps) is not None
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
@@ -859,22 +856,18 @@ def test_layer_sweep_is_the_step_loop_bit_for_bit(system, block):
     assume(np.isfinite(want).all())  # a deep chain of quartics can overflow
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coords, "RK4_BLOCK", block)
-        mp.setattr(coords, "_rk4_steps", _refuse)
         got = coords._rk4(coeffs, exps, y0, times, step)
     assert np.array_equal(got, want)
 
 
-def test_sweep_off_the_finite_floats_returns_the_loops_endpoints():
-    """x1' = 0, x2' = x1^2 from x1 = 1e300: the sweep gives (1e300, inf),
-    but the loop's product for x1 meets 0 * inf and turns x1 to nan as
-    well; the loop's endpoints are the ones returned."""
+def test_sweep_off_the_finite_floats_keeps_its_own_endpoints():
+    """x1' = 0, x2' = x1^2 from x1 = 1e300: x1 never moves and x2 overflows.
+    The whole-system body would meet 0 * inf in x1's product and return
+    nan for both; the sweep's layer for x1 reads no variable."""
     exps, coeffs = np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
     with np.errstate(all="ignore"):
-        got = coords._rk4(coeffs, exps, [[1e300, 0.0]], [0.1], 0.05)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coords, "_read_layers", lambda c, e: None)
-            want = coords._rk4(coeffs, exps, [[1e300, 0.0]], [0.1], 0.05)
-    assert np.isnan(want).all() and np.array_equal(got, want, equal_nan=True)
+        (x1, x2), = coords._rk4(coeffs, exps, [[1e300, 0.0]], [0.1], 0.05)
+    assert x1 == 1e300 and x2 == np.inf
 
 
 @pytest.mark.parametrize("exps, coeffs", [
@@ -885,11 +878,27 @@ def test_cyclic_system_takes_the_step_loop(exps, coeffs):
     exps, coeffs = np.array(exps), np.array(coeffs)
     y0, times = [[1.0, 0.0], [0.3, -0.2], [0.5, 0.5]], [2 * np.pi, -1.0, 0.0]
     assert coords._read_layers(coeffs, exps) is None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coords, "_rk4_layers", _refuse)
-        got = coords._rk4(coeffs, exps, y0, times, 1e-2)
+    got = coords._rk4(coeffs, exps, y0, times, 1e-2)
     for row, y, t in zip(got, y0, times):
         want = oracles.per_sample_rk4(coeffs, exps, y, t, 1e-2)
+        assert np.max(np.abs(row - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_chart_sampler_on_a_cyclic_frame(kind):
+    """X1 = d1 + x2 d2, X2 = d2 at the origin, weights (1, 1): x2 reads x2,
+    in the first kind's per-row tensors and in X1 alone, so both kinds
+    take the whole-system body."""
+    one, zero, x2 = RationalPoly.const(2, 1), RationalPoly.zero(2), RationalPoly.variable(2, 1)
+    frame = Frame([PolyVectorField([one, x2]), PolyVectorField([zero, one])],
+                  WeightVector((1, 1)), (Fraction(0),) * 2, check=True)
+    exps, coeffs = oracles.float_fields(frame.fields)
+    assert coords._read_layers(coeffs[0], exps) is None
+    assert coords._read_layers(np.einsum("sj,jkt->skt", [[1.0, 0.5]], coeffs), exps) is None
+    xis = [(0.0, 0.0), (0.5, -0.3), (-0.25, 0.07), (0.3, 0.0), (-0.013, -0.5)]
+    got = ChartSampler(frame, kind, 1e-2)(np.array(xis))
+    for row, xi in zip(got, xis):
+        want = oracles.per_sample_chart_point(frame, kind, xi, 1e-2)
         assert np.max(np.abs(row - want)) <= 1e-15
 
 

@@ -420,6 +420,16 @@ def test_rk4_points_of_the_wrong_length_name_n(length, stacked):
             coords.numeric_flow(frame.fields[0], point, 1.0)
 
 
+@pytest.mark.parametrize("fields, xi, n", [
+    (catalog("heisenberg_3").frame.fields, (1,), 3),
+    (catalog("heisenberg_3").frame.fields, (1, 2, 3, 4), 3),
+    ([], (), 0),
+], ids=["1", "n+1", "no fields"])
+def test_combined_field_refuses_a_wrong_length_xi(fields, xi, n):
+    with pytest.raises(ValueError, match="n = %d; got %d" % (n, len(xi))):
+        coords.combined_field(fields, xi)
+
+
 # ---------------------------------------------------------------------------
 # Every subcommand and --change selector, against the library call it wraps.
 # ---------------------------------------------------------------------------
